@@ -16,7 +16,8 @@ from .exactnum import PoleError, RhoSpec
 from .structure import SingularCoefficientError, c_coeff, multiply_p, straighten
 from .tring import DegeneratePairingError, apply
 from .vertex import hl_q, set_cache_enabled
-from .virasoro import TheoremCase, VirasoroSpec, build_operator, verify_case
+from .virasoro import (IDENTITIES, TheoremCase, VirasoroSpec, build_operator,
+                       verify_case)
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -27,15 +28,7 @@ EXIT_DEGENERATE = 4
 _OP_FAMILIES = {"L": "Lmn", "Lhat": "Lhat", "Ltilde": "Ltilde",
                 "W": "Wmn", "V": "Vmn", "LS": "LS", "WS": "WS"}
 
-_CASE_NAMES = {
-    "T1.1": "T1.1", "T1.2": "T1.2", "T3.3": "T3.3",
-    "TA.3": "TA.3", "TA.4": "TA.4",
-    "bracket": "Bracket", "mult": "MultFormula", "deriv": "DerivFormula",
-    "remarkA": "RemarkA", "baseA": "BaseA", "exchange": "Exchange",
-    "prB": "PrB", "trPerpB": "TrPerpB", "prop33": "Prop33",
-    "corLtilde": "CorLtilde", "lemma32": "Lemma32", "lemmaA1": "LemmaA1",
-    "corA2": "CorA2", "vm": "VmQ",
-}
+_CASE_NAMES = {row.name: row.id for row in IDENTITIES}
 
 
 def _parse_vector(text: str) -> tuple:
@@ -70,6 +63,8 @@ def _parse_op(text: str) -> VirasoroSpec:
         key = key.strip()
         if not eq or key not in ("n", "m"):
             raise ValueError(f"operator spec {text!r}: bad parameter {piece!r}")
+        if key in params:
+            raise ValueError(f"operator spec {text!r}: repeated parameter {key!r}")
         try:
             params[key] = int(value)
         except ValueError:

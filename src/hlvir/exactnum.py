@@ -317,11 +317,6 @@ class UniPoly:
             acc = acc + UniPoly.x_pow(power, sign * coeff)
         return acc
 
-    def shift_mul_x(self, e: int) -> "UniPoly":
-        if self.is_zero() or e == 0:
-            return self
-        return UniPoly((0,) * e + self._num, self._den)
-
 
 def _as_unipoly(x):
     if isinstance(x, UniPoly):

@@ -11,7 +11,7 @@ from typing import Iterable, Optional
 
 from .exactnum import (GENERIC, PoleError, RatFunc, RhoSpec, UniPoly)
 from .tring import TPoly, mono_degree
-from .vertex import Label, QCombination
+from .vertex import Label, QCombination, _cache_put, _new_cache
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -89,12 +89,10 @@ def _straighten_cached(label: Label, rho: RhoSpec) -> QCombination:
     hit = _STRAIGHTEN_CACHE.get(key)
     if hit is not None:
         return hit
-    res = _straighten_step(label, rho)
-    _STRAIGHTEN_CACHE[key] = res
-    return res
+    return _cache_put(_STRAIGHTEN_CACHE, key, _straighten_step(label, rho))
 
 
-_STRAIGHTEN_CACHE: dict = {}
+_STRAIGHTEN_CACHE = _new_cache()
 
 
 def _straighten_step(label: Label, rho: RhoSpec) -> QCombination:
@@ -203,11 +201,10 @@ def c_coeff(mu: Iterable[int], rho: RhoSpec):
         raise SingularCoefficientError(mu, rho.order) from None
     except ZeroDivisionError:
         raise SingularCoefficientError(mu, 0) from None
-    _C_CACHE[key] = val
-    return val
+    return _cache_put(_C_CACHE, key, val)
 
 
-_C_CACHE: dict = {}
+_C_CACHE = _new_cache()
 
 
 # ---------------------------------------------------------------------------

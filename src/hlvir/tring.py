@@ -382,15 +382,6 @@ class LinOperator:
     finite: tuple[OpTerm, ...] = ()
     families: tuple[FamilyRule, ...] = ()
 
-    def __add__(self, other: "LinOperator") -> "LinOperator":
-        return LinOperator(self.finite + other.finite, self.families + other.families)
-
-    def scaled(self, c: Fraction) -> "LinOperator":
-        return LinOperator(
-            tuple(OpTerm(t.coeff * c, t.factors) for t in self.finite),
-            tuple(FamilyRule(r.factors, r.k_power, r.scale * c, r.k_min,
-                             r.k_max, r.skip_multiples_of) for r in self.families))
-
 
 def _apply_term(term: OpTerm, f: TPoly) -> TPoly:
     g = f

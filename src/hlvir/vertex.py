@@ -30,11 +30,23 @@ class AdjointUndefinedError(DegeneratePairingError):
 # ---------------------------------------------------------------------------
 # caches
 
-_E_CACHE: dict = {}
-_B_CACHE: dict = {}
-_Q_CACHE: dict = {}
+_CACHES: list[dict] = []
 _CACHE_ENABLED = True
 _CACHE_MAX = int(os.environ.get("HLVIR_CACHE_MAX", "400000"))
+
+
+def _new_cache() -> dict:
+    """A registered memo dict: written only through ``_cache_put`` (so
+    ``--no-cache`` and ``HLVIR_CACHE_MAX`` apply) and emptied by
+    ``clear_caches``."""
+    cache: dict = {}
+    _CACHES.append(cache)
+    return cache
+
+
+_E_CACHE = _new_cache()
+_B_CACHE = _new_cache()
+_Q_CACHE = _new_cache()
 
 
 def set_cache_enabled(flag: bool) -> None:
@@ -45,9 +57,8 @@ def set_cache_enabled(flag: bool) -> None:
 
 
 def clear_caches() -> None:
-    _E_CACHE.clear()
-    _B_CACHE.clear()
-    _Q_CACHE.clear()
+    for cache in _CACHES:
+        cache.clear()
 
 
 def _cache_put(cache: dict, key, value):

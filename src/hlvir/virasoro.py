@@ -15,13 +15,14 @@ Families (all coefficients rational, applied over any coefficient field):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .exactnum import QQ, RHO_ZERO, RhoSpec
-from .structure import c_coeff, partitions
+from .structure import c_coeff, multiply_p, partitions
 from .tring import (FamilyRule, LinOperator, OpTerm, TPoly, apply,
                     commutator_apply, mono_from_exponents)
 from .vertex import Label, QCombination, apply_B, hl_q, perp_t
@@ -328,345 +329,247 @@ def monomial_basis(field, max_degree: int) -> list[TPoly]:
     return out
 
 
-def _two_sided(case: TheoremCase, lhs: TPoly, rhs: TPoly, detail: str = "") -> Verdict:
-    return Verdict(case, lhs == rhs, lhs, rhs, lhs - rhs, detail)
-
-
-def _sweep(case: TheoremCase, pairs) -> Verdict:
-    """Compare lhs/rhs over a stream of (f, lhs, rhs); report first failure."""
-    field = None
-    for f, lhs, rhs in pairs:
-        field = f.field
-        if lhs != rhs:
-            return Verdict(case, False, lhs, rhs, lhs - rhs,
-                           detail=f"first failure on {f.to_text()}")
-    zero = TPoly.zero(field) if field is not None else TPoly.zero(QQ)
-    return Verdict(case, True, zero, zero, zero)
-
-
-def _b(m: int, f: TPoly, rho: RhoSpec) -> TPoly:
-    return apply_B(m, f, rho)
-
-
 def _p_mul(r: int, f: TPoly) -> TPoly:
     return f.mul_var(r, Fraction(r))
 
 
-def verify_case(case: TheoremCase) -> Verdict:
-    handler = _HANDLERS.get(case.id)
-    if handler is None:
-        raise ValueError(f"unknown theorem case id {case.id!r}")
-    return handler(case)
+def _commutator_with_b(op: LinOperator, r: int, f: TPoly, rho: RhoSpec) -> TPoly:
+    return apply(op, apply_B(r, f, rho)) - apply_B(r, apply(op, f), rho)
 
 
-def _need(case: TheoremCase, *names):
-    out = []
-    for name in names:
-        value = getattr(case, name)
-        if value is None:
-            raise ValueError(f"case {case.id} needs parameter {name!r}")
-        out.append(value)
-    return out
+# single-instance identities: each returns (lhs, rhs)
 
 
-def _verify_t1_1(case: TheoremCase) -> Verdict:
-    n, m, lam = _need(case, "n", "m", "lam")
-    rho = RhoSpec.root(n)
-    lhs = apply(build_operator(VirasoroSpec("Lmn", m, n)), hl_q(lam, rho))
-    rhs = rhs_T1_1(n, m, lam).evaluate(rho)
-    return _two_sided(case, lhs, rhs)
+def _action(rho: RhoSpec, spec: VirasoroSpec, lam, rhs_comb: QCombination):
+    """An operator applied to Q_lam, against the closed form of its action."""
+    return apply(build_operator(spec), hl_q(lam, rho)), rhs_comb.evaluate(rho)
 
 
-def _verify_t1_2(case: TheoremCase) -> Verdict:
-    n, m, lam = _need(case, "n", "m", "lam")
-    rho = RhoSpec.root(n)
-    lhs = apply(build_operator(VirasoroSpec("Lmn", -m, n)), hl_q(lam, rho))
-    rhs = rhs_T1_2(n, m, lam).evaluate(rho)
-    return _two_sided(case, lhs, rhs)
-
-
-def _verify_t3_3(case: TheoremCase) -> Verdict:
-    n, m, lam = _need(case, "n", "m", "lam")
-    rho = RhoSpec.root(n)
-    lhs = apply(build_operator(VirasoroSpec("Lhat", -m, n)), hl_q(lam, rho))
-    rhs = rhs_T3_3(n, m, lam).evaluate(rho)
-    return _two_sided(case, lhs, rhs)
-
-
-def _verify_ta3(case: TheoremCase) -> Verdict:
-    m, lam = _need(case, "m", "lam")
-    lhs = apply(build_operator(VirasoroSpec("LS", m)), hl_q(lam, RHO_ZERO))
-    rhs = rhs_TA3(m, lam).evaluate(RHO_ZERO)
-    return _two_sided(case, lhs, rhs)
-
-
-def _verify_ta4(case: TheoremCase) -> Verdict:
-    m, lam = _need(case, "m", "lam")
-    lhs = apply(build_operator(VirasoroSpec("LS", -m)), hl_q(lam, RHO_ZERO))
-    rhs = rhs_TA4(m, lam).evaluate(RHO_ZERO)
-    return _two_sided(case, lhs, rhs)
-
-
-def _verify_base_a(case: TheoremCase) -> Verdict:
-    (m,) = _need(case, "m")
-    if m < 1:
-        raise ValueError("BaseA needs m >= 1")
+def _base_a(m: int):
     lhs = apply(build_operator(VirasoroSpec("LS", -m)), TPoly.one(QQ))
     rhs = QCombination.from_terms(QQ, (
         ((k,) + (1,) * (m - k),
          Fraction((-1) ** (m - k + 1)) * (Fraction(m + 1, 2) - k))
         for k in range(1, m + 1))).evaluate(RHO_ZERO)
-    return _two_sided(case, lhs, rhs)
+    return lhs, rhs
 
 
-def _verify_remark_a(case: TheoremCase) -> Verdict:
-    (m,) = _need(case, "m")
-    if m < 1:
-        raise ValueError("RemarkA needs m >= 1")
+def _remark_a(m: int):
     lhs = TPoly.zero(QQ)
     for k in range(1, m):
         lhs = lhs + TPoly.one(QQ).mul_var(k).mul_var(m - k, Fraction(k * (m - k)))
     rhs = QCombination.from_terms(QQ, (
         ((k,) + (1,) * (m - k), Fraction((-1) ** (m - k) * (2 * k - m - 1)))
         for k in range(1, m + 1))).evaluate(RHO_ZERO)
-    return _two_sided(case, lhs, rhs)
+    return lhs, rhs
 
 
-def _verify_mult(case: TheoremCase) -> Verdict:
-    from .structure import multiply_p
-    r, lam, rho = _need(case, "r", "lam", "rho")
-    lhs = _p_mul(r, hl_q(lam, rho))
-    rhs = multiply_p(r, QCombination.single(rho.field, lam), rho).evaluate(rho)
-    return _two_sided(case, lhs, rhs)
+def _mult(r: int, lam, rho: RhoSpec):
+    return (_p_mul(r, hl_q(lam, rho)),
+            multiply_p(r, QCombination.single(rho.field, lam), rho).evaluate(rho))
 
 
-def _verify_deriv(case: TheoremCase) -> Verdict:
-    r, lam, rho = _need(case, "r", "lam", "rho")
+def _deriv(r: int, lam, rho: RhoSpec):
     lam = tuple(lam)
     lhs = hl_q(lam, rho).diff(r)
     rhs = TPoly.zero(rho.field)
     for i in range(len(lam)):
         rhs = rhs + hl_q(_shift(lam, i, -r), rho)
-    rhs = rhs.scale(rho.one_minus_rho_pow(r))
-    return _two_sided(case, lhs, rhs)
+    return lhs, rhs.scale(rho.one_minus_rho_pow(r))
 
 
-def _verify_bracket(case: TheoremCase) -> Verdict:
-    n, i, j, degree = _need(case, "n", "i", "j", "degree")
+# sweeps: each returns (rho, sides), with sides(f) -> (lhs, rhs)
+
+
+def _bracket(n: int, i: int, j: int):
     rho = RhoSpec.root(n)
-    field = rho.field
     op_i = build_operator(VirasoroSpec("Lmn", i, n))
     op_j = build_operator(VirasoroSpec("Lmn", j, n))
     op_ij = build_operator(VirasoroSpec("Lmn", i + j, n))
     central = Fraction(n * n * (n - 1) * (i ** 3 - i), 12) if i + j == 0 else Fraction(0)
-
-    def pairs():
-        for f in monomial_basis(field, degree):
-            lhs = commutator_apply(op_i, op_j, f)
-            rhs = apply(op_ij, f).scale(Fraction(n * (i - j))) + f.scale(central)
-            yield f, lhs, rhs
-
-    return _sweep(case, pairs())
+    return rho, lambda f: (
+        commutator_apply(op_i, op_j, f),
+        apply(op_ij, f).scale(Fraction(n * (i - j))) + f.scale(central))
 
 
-def _verify_exchange(case: TheoremCase) -> Verdict:
-    i, j, rho, degree = _need(case, "i", "j", "rho", "degree")
+def _exchange(i: int, j: int, rho: RhoSpec):
     rho1 = rho.rho_pow(1)
-
-    def pairs():
-        for f in monomial_basis(rho.field, degree):
-            lhs = _b(i - 1, _b(j, f, rho), rho) - _b(i, _b(j - 1, f, rho), rho).scale(rho1)
-            rhs = _b(j, _b(i - 1, f, rho), rho).scale(rho1) - _b(j - 1, _b(i, f, rho), rho)
-            yield f, lhs, rhs
-
-    return _sweep(case, pairs())
+    return rho, lambda f: (
+        apply_B(i - 1, apply_B(j, f, rho), rho)
+        - apply_B(i, apply_B(j - 1, f, rho), rho).scale(rho1),
+        apply_B(j, apply_B(i - 1, f, rho), rho).scale(rho1)
+        - apply_B(j - 1, apply_B(i, f, rho), rho))
 
 
-def _verify_pr_b(case: TheoremCase) -> Verdict:
-    r, m, rho, degree = _need(case, "r", "m", "rho", "degree")
-    if r < 1:
-        raise ValueError("PrB needs r >= 1")
-
-    def pairs():
-        for f in monomial_basis(rho.field, degree):
-            lhs = _p_mul(r, _b(m, f, rho))
-            rhs = _b(m, _p_mul(r, f), rho) + _b(m + r, f, rho)
-            yield f, lhs, rhs
-
-    return _sweep(case, pairs())
+def _pr_b(r: int, m: int, rho: RhoSpec):
+    return rho, lambda f: (
+        _p_mul(r, apply_B(m, f, rho)),
+        apply_B(m, _p_mul(r, f), rho) + apply_B(m + r, f, rho))
 
 
-def _verify_tr_perp_b(case: TheoremCase) -> Verdict:
-    r, m, rho, degree = _need(case, "r", "m", "rho", "degree")
-    if r < 1:
-        raise ValueError("TrPerpB needs r >= 1")
-
-    def pairs():
-        for f in monomial_basis(rho.field, degree):
-            lhs = perp_t(r, _b(m, f, rho), rho)
-            rhs = _b(m - r, f, rho).scale(Fraction(1, r)) + _b(m, perp_t(r, f, rho), rho)
-            yield f, lhs, rhs
-
-    return _sweep(case, pairs())
+def _tr_perp_b(r: int, m: int, rho: RhoSpec):
+    return rho, lambda f: (
+        perp_t(r, apply_B(m, f, rho), rho),
+        apply_B(m - r, f, rho).scale(Fraction(1, r))
+        + apply_B(m, perp_t(r, f, rho), rho))
 
 
-def _commutator_with_b(op: LinOperator, r: int, f: TPoly, rho: RhoSpec) -> TPoly:
-    return apply(op, _b(r, f, rho)) - _b(r, apply(op, f), rho)
-
-
-def _verify_prop33(case: TheoremCase) -> Verdict:
-    n, m, r, degree = _need(case, "n", "m", "r", "degree")
-    if m == 0:
-        raise ValueError("Prop33 needs m != 0")
-    rho = RhoSpec.root(n)
-    field = rho.field
-    op = build_operator(VirasoroSpec("Lhat", m, n))
+def _prop33(rho: RhoSpec, op: LinOperator, n: int, m: int, r: int):
+    """[Lhat_m, B_r] in closed form (Prop. 3.3); at n = 1 and rho = 0, where
+    every weight 1 - rho^k is 1, this is Lemma A.1."""
     nm = n * m
 
-    def pairs():
-        for f in monomial_basis(field, degree):
-            lhs = _commutator_with_b(op, r, f, rho)
-            if m >= 1:
-                rhs = _b(r - nm, f, rho).scale(Fraction(r - nm))
-                for k in range(1, nm + 1):
-                    df = f.diff(k)
-                    if df:
-                        rhs = rhs - _b(r - nm + k, df, rho)
-            else:
-                rhs = _b(r - nm, f, rho).scale(Fraction(r))
-                for k in range(1, -nm + 1):
-                    coeff = rho.one_minus_rho_pow(k)
-                    if not coeff:
-                        continue
-                    rhs = rhs - _b(r - nm - k, _p_mul(k, f), rho).scale(coeff)
-            yield f, lhs, rhs
+    def sides(f: TPoly):
+        lhs = _commutator_with_b(op, r, f, rho)
+        if m >= 1:
+            rhs = apply_B(r - nm, f, rho).scale(Fraction(r - nm))
+            for k in range(1, nm + 1):
+                df = f.diff(k)
+                if df:
+                    rhs = rhs - apply_B(r - nm + k, df, rho)
+        else:
+            rhs = apply_B(r - nm, f, rho).scale(Fraction(r))
+            for k in range(1, -nm + 1):
+                coeff = rho.one_minus_rho_pow(k)
+                if coeff:
+                    rhs = rhs - apply_B(r - nm - k, _p_mul(k, f), rho).scale(coeff)
+        return lhs, rhs
 
-    return _sweep(case, pairs())
+    return rho, sides
 
 
-def _verify_cor_ltilde(case: TheoremCase) -> Verdict:
-    n, m, r, degree = _need(case, "n", "m", "r", "degree")
-    if m < 1:
-        raise ValueError("CorLtilde needs m >= 1")
+def _cor_ltilde(n: int, m: int, r: int):
     rho = RhoSpec.root(n)
     op = build_operator(VirasoroSpec("Ltilde", m, n))
     nm = n * m
 
-    def pairs():
-        for f in monomial_basis(rho.field, degree):
-            lhs = _commutator_with_b(op, r, f, rho)
-            rhs = _b(r - nm, f, rho).scale(Fraction(r))
-            for k in range(1, nm + 1):
-                df = f.diff(k)
-                if df:
-                    rhs = rhs - _b(r - nm + k, df, rho).scale(rho.rho_pow(-k))
-            yield f, lhs, rhs
+    def sides(f: TPoly):
+        lhs = _commutator_with_b(op, r, f, rho)
+        rhs = apply_B(r - nm, f, rho).scale(Fraction(r))
+        for k in range(1, nm + 1):
+            df = f.diff(k)
+            if df:
+                rhs = rhs - apply_B(r - nm + k, df, rho).scale(rho.rho_pow(-k))
+        return lhs, rhs
 
-    return _sweep(case, pairs())
-
-
-def _verify_lemma32(case: TheoremCase) -> Verdict:
-    r, rho, degree = _need(case, "r", "rho", "degree")
-
-    def pairs():
-        for f in monomial_basis(rho.field, degree):
-            a = max(f.degree(), 0)
-            big_n = max(a, a + r) + 1
-            lhs = TPoly.zero(rho.field)
-            coeff_sum = Fraction(0)
-            rhs = TPoly.zero(rho.field)
-            for k in range(1, big_n + 1):
-                omr = rho.one_minus_rho_pow(k)
-                if omr:
-                    lhs = lhs + _b(r - k, _p_mul(k, f), rho).scale(omr)
-                df = f.diff(k)
-                if df:
-                    rhs = rhs - _b(r + k, df, rho)
-            scalar = rho.field.from_fraction(Fraction(r))
-            for k in range(1, big_n + 1):
-                scalar = scalar - rho.one_minus_rho_pow(k)
-            rhs = rhs + _b(r, f, rho).scale(scalar)
-            yield f, lhs, rhs
-
-    return _sweep(case, pairs())
+    return rho, sides
 
 
-def _verify_lemma_a1(case: TheoremCase) -> Verdict:
-    m, r, degree = _need(case, "m", "r", "degree")
-    if m == 0:
-        raise ValueError("LemmaA1 needs m != 0")
-    rho = RHO_ZERO
-    ls_hat = LinOperator((), (FamilyRule(factors=(("mul", 0), ("der", m)),
-                                         k_power=1, k_min=max(1, 1 - m)),))
+def _lemma32(r: int, rho: RhoSpec):
+    def sides(f: TPoly):
+        a = max(f.degree(), 0)
+        big_n = max(a, a + r) + 1
+        lhs = TPoly.zero(rho.field)
+        rhs = TPoly.zero(rho.field)
+        for k in range(1, big_n + 1):
+            omr = rho.one_minus_rho_pow(k)
+            if omr:
+                lhs = lhs + apply_B(r - k, _p_mul(k, f), rho).scale(omr)
+            df = f.diff(k)
+            if df:
+                rhs = rhs - apply_B(r + k, df, rho)
+        scalar = rho.field.from_fraction(Fraction(r))
+        for k in range(1, big_n + 1):
+            scalar = scalar - rho.one_minus_rho_pow(k)
+        return lhs, rhs + apply_B(r, f, rho).scale(scalar)
 
-    def pairs():
-        for f in monomial_basis(QQ, degree):
-            lhs = _commutator_with_b(ls_hat, r, f, rho)
-            if m >= 1:
-                rhs = _b(r - m, f, rho).scale(Fraction(r - m))
-                for k in range(1, m + 1):
-                    df = f.diff(k)
-                    if df:
-                        rhs = rhs - _b(r - m + k, df, rho)
-            else:
-                rhs = _b(r - m, f, rho).scale(Fraction(r))
-                for k in range(1, -m + 1):
-                    rhs = rhs - _b(r - m - k, _p_mul(k, f), rho)
-            yield f, lhs, rhs
-
-    return _sweep(case, pairs())
+    return rho, sides
 
 
-def _verify_cor_a2(case: TheoremCase) -> Verdict:
-    m, r, degree = _need(case, "m", "r", "degree")
-    if m == 0:
-        raise ValueError("CorA2 needs m != 0")
-    rho = RHO_ZERO
+def _cor_a2(m: int, r: int):
     op = build_operator(VirasoroSpec("LS", m))
 
-    def pairs():
-        for f in monomial_basis(QQ, degree):
-            lhs = _commutator_with_b(op, r, f, rho)
-            rhs = _b(r - m, f, rho).scale(r - Fraction(m + 1, 2))
-            if m >= 1:
-                df = f.diff(m)
-                if df:
-                    rhs = rhs - _b(r, df, rho)
-            else:
-                rhs = rhs - _b(r, _p_mul(-m, f), rho)
-            yield f, lhs, rhs
+    def sides(f: TPoly):
+        lhs = _commutator_with_b(op, r, f, RHO_ZERO)
+        rhs = apply_B(r - m, f, RHO_ZERO).scale(r - Fraction(m + 1, 2))
+        if m >= 1:
+            df = f.diff(m)
+            if df:
+                rhs = rhs - apply_B(r, df, RHO_ZERO)
+        else:
+            rhs = rhs - apply_B(r, _p_mul(-m, f), RHO_ZERO)
+        return lhs, rhs
 
-    return _sweep(case, pairs())
-
-
-def _verify_vm(case: TheoremCase) -> Verdict:
-    n, m, lam = _need(case, "n", "m", "lam")
-    rho = RhoSpec.root(n)
-    lhs = apply(build_operator(VirasoroSpec("Vmn", m, n)), hl_q(lam, rho))
-    rhs = rhs_Vm(n, m, lam).evaluate(rho)
-    return _two_sided(case, lhs, rhs)
+    return RHO_ZERO, sides
 
 
-_HANDLERS = {
-    "T1.1": _verify_t1_1,
-    "T1.2": _verify_t1_2,
-    "T3.3": _verify_t3_3,
-    "TA.3": _verify_ta3,
-    "TA.4": _verify_ta4,
-    "BaseA": _verify_base_a,
-    "RemarkA": _verify_remark_a,
-    "MultFormula": _verify_mult,
-    "DerivFormula": _verify_deriv,
-    "Bracket": _verify_bracket,
-    "Exchange": _verify_exchange,
-    "PrB": _verify_pr_b,
-    "TrPerpB": _verify_tr_perp_b,
-    "Prop33": _verify_prop33,
-    "CorLtilde": _verify_cor_ltilde,
-    "Lemma32": _verify_lemma32,
-    "LemmaA1": _verify_lemma_a1,
-    "CorA2": _verify_cor_a2,
-    "VmQ": _verify_vm,
-}
+@dataclass(frozen=True)
+class Identity:
+    """One verifiable identity: its case id, its CLI name, and ``fn``, a
+    function of the case's ``fields`` in order.  A single-instance ``fn``
+    returns (lhs, rhs).  A sweep also needs the case's ``degree``; its ``fn``
+    returns (rho, sides), and sides(f) -> (lhs, rhs) is compared on every
+    monomial f up to that degree.  ``guard`` is an extra condition on one
+    field, such as "m >= 1"."""
 
-CASE_IDS = tuple(_HANDLERS)
+    id: str
+    name: str
+    fields: tuple[str, ...]
+    sweep: bool
+    fn: Callable
+    guard: Optional[str] = None
+
+
+IDENTITIES = (
+    Identity("T1.1", "T1.1", ("n", "m", "lam"), False, lambda n, m, lam: _action(
+        RhoSpec.root(n), VirasoroSpec("Lmn", m, n), lam, rhs_T1_1(n, m, lam))),
+    Identity("T1.2", "T1.2", ("n", "m", "lam"), False, lambda n, m, lam: _action(
+        RhoSpec.root(n), VirasoroSpec("Lmn", -m, n), lam, rhs_T1_2(n, m, lam))),
+    Identity("T3.3", "T3.3", ("n", "m", "lam"), False, lambda n, m, lam: _action(
+        RhoSpec.root(n), VirasoroSpec("Lhat", -m, n), lam, rhs_T3_3(n, m, lam))),
+    Identity("TA.3", "TA.3", ("m", "lam"), False, lambda m, lam: _action(
+        RHO_ZERO, VirasoroSpec("LS", m), lam, rhs_TA3(m, lam))),
+    Identity("TA.4", "TA.4", ("m", "lam"), False, lambda m, lam: _action(
+        RHO_ZERO, VirasoroSpec("LS", -m), lam, rhs_TA4(m, lam))),
+    Identity("BaseA", "baseA", ("m",), False, _base_a, "m >= 1"),
+    Identity("RemarkA", "remarkA", ("m",), False, _remark_a, "m >= 1"),
+    Identity("MultFormula", "mult", ("r", "lam", "rho"), False, _mult),
+    Identity("DerivFormula", "deriv", ("r", "lam", "rho"), False, _deriv),
+    Identity("Bracket", "bracket", ("n", "i", "j"), True, _bracket),
+    Identity("Exchange", "exchange", ("i", "j", "rho"), True, _exchange),
+    Identity("PrB", "prB", ("r", "m", "rho"), True, _pr_b, "r >= 1"),
+    Identity("TrPerpB", "trPerpB", ("r", "m", "rho"), True, _tr_perp_b, "r >= 1"),
+    Identity("Prop33", "prop33", ("n", "m", "r"), True, lambda n, m, r: _prop33(
+        RhoSpec.root(n), build_operator(VirasoroSpec("Lhat", m, n)), n, m, r),
+        "m != 0"),
+    Identity("CorLtilde", "corLtilde", ("n", "m", "r"), True, _cor_ltilde, "m >= 1"),
+    Identity("Lemma32", "lemma32", ("r", "rho"), True, _lemma32),
+    Identity("LemmaA1", "lemmaA1", ("m", "r"), True, lambda m, r: _prop33(
+        RHO_ZERO, LinOperator((), (_grading_family(1, m, None),)), 1, m, r),
+        "m != 0"),
+    Identity("CorA2", "corA2", ("m", "r"), True, _cor_a2, "m != 0"),
+    Identity("VmQ", "vm", ("n", "m", "lam"), False, lambda n, m, lam: _action(
+        RhoSpec.root(n), VirasoroSpec("Vmn", m, n), lam, rhs_Vm(n, m, lam))),
+)
+
+_BY_ID = {row.id: row for row in IDENTITIES}
+CASE_IDS = tuple(_BY_ID)
+_GUARD_OPS = {">=": operator.ge, "!=": operator.ne}
+
+
+def verify_case(case: TheoremCase) -> Verdict:
+    """Compare both sides exactly; a sweep reports its first failing monomial."""
+    row = _BY_ID.get(case.id)
+    if row is None:
+        raise ValueError(f"unknown theorem case id {case.id!r}")
+    for name in row.fields + (("degree",) if row.sweep else ()):
+        if getattr(case, name) is None:
+            raise ValueError(f"case {case.id} needs parameter {name!r}")
+    if row.guard:
+        name, op, bound = row.guard.split()
+        if not _GUARD_OPS[op](getattr(case, name), int(bound)):
+            raise ValueError(f"{case.id} needs {row.guard}")
+    result = row.fn(*(getattr(case, name) for name in row.fields))
+    if not row.sweep:
+        lhs, rhs = result
+        return Verdict(case, lhs == rhs, lhs, rhs, lhs - rhs)
+    rho, sides = result
+    if case.degree < 0:
+        raise ValueError(f"case {case.id} needs degree >= 0, got {case.degree}")
+    for f in monomial_basis(rho.field, case.degree):
+        lhs, rhs = sides(f)
+        if lhs != rhs:
+            return Verdict(case, False, lhs, rhs, lhs - rhs,
+                           detail=f"first failure on {f.to_text()}")
+    zero = TPoly.zero(rho.field)
+    return Verdict(case, True, zero, zero, zero)

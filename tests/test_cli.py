@@ -2,15 +2,23 @@
 and determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from hlvir import cli
+from hlvir import cli, structure
 from hlvir.exactnum import QQ, RhoSpec
 from hlvir.tring import TPoly
-from hlvir.vertex import hl_q
+from hlvir.vertex import clear_caches, hl_q, set_cache_enabled
+from hlvir.virasoro import CASE_IDS, IDENTITIES
+
+# verify outputs of every CLI case name, recorded from the hand-written
+# handlers that the identity table replaced:
+# {case name: {"args": ..., "text": stdout, "json": stdout}}
+GOLDEN_VERIFY = json.loads(
+    (pathlib.Path(__file__).with_name("verify_golden.json")).read_text("utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +85,21 @@ def test_verify_bracket(capsys):
     assert code == 0 and out.startswith("equal\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_verify_golden(capsys, name, fmt):
+    entry = GOLDEN_VERIFY[name]
+    code, out, _ = run_cli(capsys, "verify", "--case", name,
+                           *entry["args"].split(), "--format", fmt)
+    assert code == 0 and out == entry[fmt]
+
+
+def test_case_names_come_from_the_identity_table():
+    assert cli._CASE_NAMES == {row.name: row.id for row in IDENTITIES}
+    assert CASE_IDS == tuple(row.id for row in IDENTITIES)
+    assert set(GOLDEN_VERIFY) == set(cli._CASE_NAMES)
+
+
 # -- exit codes
 
 def test_usage_error_is_exit_2(capsys):
@@ -94,6 +117,12 @@ def test_degenerate_pairing_is_exit_4(capsys):
     code, _, err = run_cli(capsys, "verify", "--case", "trPerpB", "--r", "2",
                            "--m", "1", "--rho", "xi:2", "--degree", "3")
     assert code == 4 and "adjoint" in err
+
+
+def test_empty_sweep_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--case", "bracket", "--n", "2",
+                             "--i", "1", "--j", "1", "--degree", "-3")
+    assert code == 2 and out == "" and "degree >= 0" in err
 
 
 def test_root_order_cap(capsys):
@@ -160,7 +189,6 @@ def test_text_runs_are_byte_identical(capsys):
 
 
 def test_no_cache_flag_gives_same_answer(capsys):
-    from hlvir.vertex import set_cache_enabled
     try:
         _, cached, _ = run_cli(capsys, "q", "--rho", "xi:3", "--lambda", "3,2")
         _, uncached, _ = run_cli(capsys, "q", "--rho", "xi:3",
@@ -168,6 +196,23 @@ def test_no_cache_flag_gives_same_answer(capsys):
         assert cached == uncached
     finally:
         set_cache_enabled(True)
+
+
+def test_no_cache_flag_covers_straightening_and_c_coeff(capsys):
+    try:
+        code, _, _ = run_cli(capsys, "straighten", "--rho", "generic",
+                             "--lambda", "1,2,3", "--no-cache")
+        assert code == 0 and not structure._STRAIGHTEN_CACHE
+        code, _, _ = run_cli(capsys, "mulp", "--rho", "0", "--lambda", "2",
+                             "--r", "2", "--no-cache")
+        assert code == 0 and not structure._C_CACHE
+    finally:
+        set_cache_enabled(True)
+    structure.straighten((1, 2), RhoSpec.parse("generic"))
+    structure.c_coeff((2, 1), RhoSpec.parse("0"))
+    assert structure._STRAIGHTEN_CACHE and structure._C_CACHE
+    clear_caches()
+    assert not structure._STRAIGHTEN_CACHE and not structure._C_CACHE
 
 
 def test_module_entry_point():
@@ -185,3 +230,9 @@ def test_operator_spec_parse_errors(capsys):
     code, _, err = run_cli(capsys, "apply", "--op", "Q:m=1", "--rho", "0",
                            "--lambda", "1")
     assert code == 2
+
+
+def test_repeated_operator_key_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "apply", "--op", "L:n=2,m=-1,n=3",
+                             "--rho", "xi:2", "--lambda", "1")
+    assert code == 2 and out == "" and "repeated parameter 'n'" in err
