@@ -3,7 +3,8 @@ coefficient lookup, operator application, identity verification, and the
 desk self-test suite.  Output is deterministic text or JSON.
 
 Exit codes: 0 success/equal; 1 verification inequality or failed self-test;
-2 usage or parse error; 3 singular coefficient; 4 degenerate pairing.
+2 usage or parse error; 3 singular coefficient; 4 degenerate pairing;
+5 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_UNEQUAL = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_DEGENERATE = 4
+EXIT_INTERNAL = 5
 
 _OP_FAMILIES = {"L": "Lmn", "Lhat": "Lhat", "Ltilde": "Ltilde",
                 "W": "Wmn", "V": "Vmn", "LS": "LS", "WS": "WS"}
@@ -256,6 +258,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Union
 
 RHO_SYMBOL = "ρ"  # the indeterminate of Q(rho) in canonical text
@@ -404,117 +404,172 @@ def cyclotomic_poly(n: int) -> UniPoly:
 
 @lru_cache(maxsize=None)
 def _cyclo_tables(n: int):
+    """phi(n), Phi_n, and the integer rows z^j mod Phi_n for
+    phi <= j <= max(2*phi - 2, n - 1): enough to fold a product of two
+    reduced elements, or any vector already wrapped by z^n = 1."""
     phi = euler_phi(n)
     Phi = cyclotomic_poly(n)
-    # x^phi = -(Phi - x^phi) since Phi is monic of degree phi
-    base = tuple(-Phi.coefficient(i) for i in range(phi))
-    return phi, Phi, base
+    # Phi is monic with integer coefficients, so every row is integral
+    base = [-c for c in Phi._num[:phi]]  # z^phi = -(Phi - z^phi)
+    rows = []
+    row = base
+    for _ in range(max(phi - 1, n - phi)):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [x + top * b for x, b in zip(row, base)]
+    return phi, Phi, tuple(rows)
+
+
+def _fold(cs: list[int], phi: int, rows) -> list[int]:
+    """Reduce the integer vector cs (len(cs) - phi <= len(rows)) mod Phi_n."""
+    out = cs[:phi]
+    for c, row in zip(cs[phi:], rows):
+        if c:
+            out = [x + c * r for x, r in zip(out, row)]
+    return out
 
 
 class Cyclotomic:
-    """An element of Q(xi_n), coordinates in the power basis 1, z, ..., z^(phi-1)."""
+    """An element of Q(xi_n): num/den in the power basis 1, z, ..., z^(phi-1).
 
-    __slots__ = ("order", "coords")
+    ``num`` is a tuple of phi integers and ``den`` a positive integer with
+    gcd(num..., den) = 1 (zero is all zeros over 1), so every element has
+    exactly one representation.  Immutable and hashable.
+    """
 
-    def __init__(self, order: int, coords: tuple[Fraction, ...]):
+    __slots__ = ("order", "num", "den")
+
+    def __init__(self, order: int, num: tuple[int, ...], den: int):
+        # assumes normalized input; use the constructors below
         self.order = order
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def _make(order: int, num: list[int], den: int) -> "Cyclotomic":
+        """Normalize phi integer coordinates over a positive denominator."""
+        if den == 1:
+            return Cyclotomic(order, tuple(num), 1)
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        return Cyclotomic(order, tuple(num), den)
+
+    @staticmethod
+    def _from_ints(order: int, num: list[int], den: int) -> "Cyclotomic":
+        """num/den for integer coordinates of any length, reduced mod Phi_n."""
+        phi, _, rows = _cyclo_tables(order)
+        if len(num) > order:  # z^n = 1
+            wrapped = num[:order]
+            for j in range(order, len(num)):
+                wrapped[j % order] += num[j]
+            num = wrapped
+        if len(num) > phi:
+            num = _fold(num, phi, rows)
+        else:
+            num = num + [0] * (phi - len(num))
+        return Cyclotomic._make(order, num, den)
 
     @staticmethod
     def make(order: int, coords) -> "Cyclotomic":
-        phi = euler_phi(order)
         cs = [_fr(c) for c in coords]
-        if len(cs) < phi:
-            cs.extend([Fraction(0)] * (phi - len(cs)))
-        elif len(cs) > phi:
-            cs = Cyclotomic._reduce(order, cs)
-        return Cyclotomic(order, tuple(cs))
-
-    @staticmethod
-    def _reduce(order: int, cs: list[Fraction]) -> list[Fraction]:
-        phi, _, base = _cyclo_tables(order)
-        cs = list(cs) + [Fraction(0)] * max(0, phi - len(cs))
-        for j in range(len(cs) - 1, phi - 1, -1):
-            c = cs[j]
-            if c:
-                lo = j - phi
-                for i in range(phi):
-                    if base[i]:
-                        cs[lo + i] += c * base[i]
-        return cs[:phi]
+        den = lcm(*(c.denominator for c in cs))
+        return Cyclotomic._from_ints(
+            order, [c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def constant(order: int, c: Union[int, Fraction]) -> "Cyclotomic":
-        phi = euler_phi(order)
-        return Cyclotomic(order, (_fr(c),) + (Fraction(0),) * (phi - 1))
+        return Cyclotomic(order, (c.numerator,) + (0,) * (euler_phi(order) - 1),
+                          c.denominator)
 
     @staticmethod
     def generator(order: int) -> "Cyclotomic":
         """xi_n = z mod Phi_n."""
-        return Cyclotomic.make(order, [Fraction(0), Fraction(1)])
+        return Cyclotomic._from_ints(order, [0, 1], 1)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.constant(self.order, other)
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
                 raise FieldMismatchError(
                     f"cyclotomic orders differ: {self.order} vs {other.order}")
             return other
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic.constant(self.order, other)
         if isinstance(other, (UniPoly, RatFunc)):
             raise FieldMismatchError("cannot mix cyclotomic and rational-function values")
         return None
+
+    @staticmethod
+    def _combine(a: "Cyclotomic", b: "Cyclotomic", sign: int) -> "Cyclotomic":
+        """a + sign * b.  Calls no arithmetic operator, so that an
+        instrumented ``__add__`` counts only the additions callers make."""
+        if a.den == b.den:
+            if sign > 0:
+                n = [x + y for x, y in zip(a.num, b.num)]
+            else:
+                n = [x - y for x, y in zip(a.num, b.num)]
+            return Cyclotomic._make(a.order, n, a.den)
+        L = lcm(a.den, b.den)
+        fa, fb = L // a.den, sign * (L // b.den)
+        return Cyclotomic._make(a.order, [x * fa + y * fb for x, y in zip(a.num, b.num)], L)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return Cyclotomic._combine(self, o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coords))
+        return Cyclotomic(self.order, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return Cyclotomic._combine(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return Cyclotomic._combine(o, self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
+        a, b = self.num, o.num
+        if not any(a[1:]):
+            a, b = b, a
+        if not any(b[1:]):  # a rational factor: scale the other one
+            c = b[0]
+            return Cyclotomic._make(self.order, [x * c for x in a], self.den * o.den)
         phi = len(a)
-        conv = [Fraction(0)] * (2 * phi - 1)
+        conv = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return Cyclotomic(self.order, tuple(Cyclotomic._reduce(self.order, conv)))
+                conv[i:i + phi] = [c + x * y for c, y in zip(conv[i:i + phi], b)]
+        _, _, rows = _cyclo_tables(self.order)
+        return Cyclotomic._make(self.order, _fold(conv, phi, rows), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -522,13 +577,13 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         phi, Phi, _ = _cyclo_tables(self.order)
-        a = UniPoly.from_fractions(self.coords)
+        a = UniPoly._make(list(self.num), self.den)
         g, s, _ = a.xgcd(Phi)
         if g.degree != 0:
             raise ZeroDivisionError("element not invertible (unexpected)")
         inv = s * UniPoly.constant(1 / g.coefficient(0))
         rem = inv % Phi
-        return Cyclotomic.make(self.order, list(rem.coefficients))
+        return Cyclotomic._from_ints(self.order, list(rem._num), rem._den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -556,13 +611,15 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.order == other.order and self.coords == other.coords
+        return (self.order == other.order and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.order, self.coords))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self.to_text()})"
@@ -571,11 +628,11 @@ class Cyclotomic:
         if self.is_zero():
             return "0"
         out = []
-        for k, c in enumerate(self.coords):
+        for k, c in enumerate(self.num):
             if c == 0:
                 continue
             neg = c < 0
-            mag = -c if neg else c
+            mag = Fraction(-c if neg else c, self.den)
             if k == 0:
                 body = str(mag)
             else:
@@ -781,8 +838,8 @@ def specialize_at_root(f: Union[RatFunc, UniPoly], n: int) -> Cyclotomic:
                 num, den = nq, dq  # common factor Phi_n: cancel and retry
                 continue
             raise PoleError(f"pole at xi_{n}")
-        a = Cyclotomic.make(n, list(nr.coefficients))
-        b = Cyclotomic.make(n, list(dr.coefficients))
+        a = Cyclotomic._from_ints(n, list(nr._num), nr._den)
+        b = Cyclotomic._from_ints(n, list(dr._num), dr._den)
         return a / b
 
 
@@ -865,12 +922,12 @@ class CyclotomicFieldTag:
     @staticmethod
     def factor_text(v: Cyclotomic) -> str:
         if v.is_rational():
-            return str(v.coords[0])
+            return str(v.rational_value())
         return f"({v.to_text()})"
 
     @staticmethod
     def split_sign(v: Cyclotomic):
-        if v.is_rational() and v.coords[0] < 0:
+        if v.is_rational() and v.num[0] < 0:
             return -1, -v
         return 1, v
 

@@ -524,7 +524,7 @@ IDENTITIES = (
     Identity("BaseA", "baseA", ("m",), False, _base_a, "m >= 1"),
     Identity("RemarkA", "remarkA", ("m",), False, _remark_a, "m >= 1"),
     Identity("MultFormula", "mult", ("r", "lam", "rho"), False, _mult),
-    Identity("DerivFormula", "deriv", ("r", "lam", "rho"), False, _deriv),
+    Identity("DerivFormula", "deriv", ("r", "lam", "rho"), False, _deriv, "r >= 1"),
     Identity("Bracket", "bracket", ("n", "i", "j"), True, _bracket),
     Identity("Exchange", "exchange", ("i", "j", "rho"), True, _exchange),
     Identity("PrB", "prB", ("r", "m", "rho"), True, _pr_b, "r >= 1"),

@@ -125,6 +125,24 @@ def test_empty_sweep_is_exit_2(capsys):
     assert code == 2 and out == "" and "degree >= 0" in err
 
 
+@pytest.mark.parametrize("r, rho", [("0", "generic"), ("-1", "generic"),
+                                    ("-1", "0")])
+def test_deriv_needs_positive_r(capsys, r, rho):
+    code, out, err = run_cli(capsys, "verify", "--case", "deriv", f"--r={r}",
+                             "--lambda", "2,1", "--rho", rho)
+    assert code == 2 and out == "" and "r >= 1" in err
+
+
+def test_internal_error_is_exit_5(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_q", broken)
+    code, out, err = run_cli(capsys, "q", "--rho", "0", "--lambda", "1")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == "" and err == "error: internal: RuntimeError: boom\n"
+
+
 def test_root_order_cap(capsys):
     code, _, err = run_cli(capsys, "q", "--rho", "xi:70", "--lambda", "1")
     assert code == 2 and "--max-xi-order" in err

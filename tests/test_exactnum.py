@@ -2,6 +2,7 @@
 numbers, rational functions, and specialization at roots of unity."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,49 @@ def test_cyclotomic_inverse(a):
 @given(cyclo_elems(3))
 def test_cyclotomic_text_round_trip(a):
     assert Cyclotomic.parse(3, a.to_text()) == a
+
+
+# -- integer cyclotomic arithmetic against UniPoly arithmetic mod Phi_n
+
+REFERENCE_ORDERS = [1, 2, 4, 8, 9, 12, 15, 60]
+wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+
+
+def _coord_lists(n):
+    # longer than phi (folded by the table) and, up to n + 3, longer than n
+    # (wrapped by z^n = 1 first)
+    return st.lists(wide_fractions, max_size=max(n, 2 * euler_phi(n)) + 3)
+
+
+def _as_poly(a):
+    return UniPoly.from_ints(a.num, a.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REFERENCE_ORDERS).flatmap(
+    lambda n: st.tuples(st.just(n), _coord_lists(n), _coord_lists(n))),
+    wide_fractions)
+def test_cyclotomic_matches_unipoly_reference(case, q):
+    n, xs, ys = case
+    Phi = cyclotomic_poly(n)
+    a, b = Cyclotomic.make(n, xs), Cyclotomic.make(n, ys)
+    pa = UniPoly.from_fractions(xs or [0]) % Phi
+    pb = UniPoly.from_fractions(ys or [0]) % Phi
+    for v in (a, b, a * b, a + b, a - b):
+        assert len(v.num) == euler_phi(n) and v.den > 0
+        assert gcd(v.den, *v.num) == 1
+    assert _as_poly(a) == pa and _as_poly(b) == pb
+    assert _as_poly(a * b) == (pa * pb) % Phi
+    assert _as_poly(a + b) == pa + pb
+    assert _as_poly(a - b) == pa - pb
+    assert _as_poly(q - a) == UniPoly.constant(q) - pa
+    assert _as_poly(a * q) == pa * q
+    if a:
+        assert (_as_poly(a.inverse()) * pa) % Phi == UniPoly.constant(1)
+    same = Cyclotomic.make(n, pa.coefficients)
+    assert same == a and hash(same) == hash(a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert Cyclotomic.parse(n, a.to_text()) == a
 
 
 def test_cyclotomic_rational_detection():

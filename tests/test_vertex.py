@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlvir.exactnum import QQ, RHO_GENERIC, RHO_ZERO, RhoSpec
+from hlvir.exactnum import (QQ, RHO_GENERIC, RHO_ZERO, RhoSpec,
+                            specialize_at_root)
+from hlvir.structure import partitions
 from hlvir.tring import TPoly, inner_product, mono_from_exponents
 from hlvir.vertex import (AdjointUndefinedError, QCombination, apply_B,
                           clear_caches, hl_q, one_row, perp_p, perp_t,
@@ -173,3 +175,22 @@ def test_cache_toggle_preserves_results():
     assert with_cache == without
     clear_caches()
     assert hl_q((3, 2, 1), x2) == with_cache
+
+
+# -- the same Q_lambda computed in two fields
+
+ORACLE_LABELS = [lam for k in range(9) for lam in partitions(k)] + [
+    (0,), (0, 2), (2, -1, 1), (1, 0, 2), (1, 3, 2)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 12])
+def test_root_of_unity_matches_specialized_generic(n):
+    """Q_lambda built in Q(xi_n) equals Q_lambda built over Q(rho) with each
+    coefficient specialized at rho = xi_n; the generic construction does no
+    cyclotomic arithmetic, so it checks that arithmetic from outside."""
+    rho = RhoSpec.root(n)
+    for lam in ORACLE_LABELS:
+        generic = hl_q(lam, RHO_GENERIC)
+        want = TPoly.from_terms(rho.field, (
+            (m, specialize_at_root(c, n)) for m, c in generic.terms.items()))
+        assert hl_q(lam, rho) == want, (lam, n)
