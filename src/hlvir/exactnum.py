@@ -62,16 +62,14 @@ class UniPoly:
         while num and num[-1] == 0:
             num.pop()
         if not num:
-            return _UP_ZERO if _UP_ZERO is not None else UniPoly((), 1)
-        g = 0
-        for c in num:
-            g = gcd(g, c)
-        g = gcd(g, den)
-        if den < 0:
-            g = -g
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
+            return _UP_ZERO
+        if den != 1:
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
         return UniPoly(tuple(num), den)
 
     @staticmethod
@@ -101,9 +99,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_one(self) -> bool:
-        return self._num == (1,) and self._den == 1
-
     def __bool__(self) -> bool:
         return bool(self._num)
 
@@ -129,11 +124,16 @@ class UniPoly:
     def is_constant(self) -> bool:
         return len(self._num) <= 1
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
+    def evaluate(self, x: Union[int, Fraction]) -> Fraction:
+        # integer Horner on sum c_i p^i q^(d-i), for x = p/q
+        if not self._num:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
         for c in reversed(self._num):
-            acc = acc * x + c
-        return acc / self._den
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, self._den * qk // q)
 
     # -- arithmetic
 
@@ -141,21 +141,7 @@ class UniPoly:
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self, other
-        if a._den == b._den:
-            n = [x + y for x, y in zip(a._num, b._num)]
-            longer = a._num if len(a._num) > len(b._num) else b._num
-            n.extend(longer[len(n):])
-            return UniPoly._make(n, a._den)
-        L = a._den * b._den // gcd(a._den, b._den)
-        fa, fb = L // a._den, L // b._den
-        n = [x * fa for x in a._num]
-        m = [y * fb for y in b._num]
-        if len(n) < len(m):
-            n, m = m, n
-        for i, y in enumerate(m):
-            n[i] += y
-        return UniPoly._make(n, L)
+        return _up_add(self, other, 1)
 
     __radd__ = __add__
 
@@ -166,53 +152,56 @@ class UniPoly:
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _up_add(self, other, -1)
 
     def __rsub__(self, other):
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _up_add(other, self, -1)
 
     def __mul__(self, other):
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._num, other._num
-        if not a or not b:
-            return _UP_ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return UniPoly._make(out, self._den * other._den)
+        return _up_mul(self, other)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "UniPoly"):
+        """Quotient and remainder over Q, by fraction-free pseudo-division
+        of the integer vectors (von zur Gathen & Gerhard, *Modern Computer
+        Algebra*): the divisor's lead is scaled into the remainder only at a
+        step whose top coefficient it does not divide."""
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        div = other._num
+        if not div:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        div = other.coefficients
-        dd = other.degree
+        dd = len(div) - 1
         lead = div[-1]
-        q = [Fraction(0)] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            c = rem[-1] / lead
-            q[k] = c
-            for i in range(dd + 1):
-                rem[k + i] -= c * div[i]
-            rem.pop()
-        return UniPoly.from_fractions(q), UniPoly.from_fractions(rem)
+        rem = list(self._num)
+        nq = len(rem) - dd
+        if nq <= 0:
+            return _UP_ZERO, self
+        q = [0] * nq
+        scale = 1  # scale * self._num == div * q + rem throughout
+        for k in range(nq - 1, -1, -1):
+            r = rem.pop()
+            if r:
+                c, m = divmod(r, lead)
+                if m:
+                    g = abs(lead) // gcd(lead, r)
+                    rem = [x * g for x in rem]
+                    q = [x * g for x in q]
+                    scale *= g
+                    c = r * g // lead
+                q[k] = c
+                rem[k:] = [x - c * y for x, y in zip(rem[k:], div)]
+        den = scale * self._den
+        return (UniPoly._make([x * other._den for x in q], den),
+                UniPoly._make(rem, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -229,10 +218,7 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        lead = self.leading()
-        if lead == 1:
-            return self
-        return self * UniPoly.constant(1 / lead)
+        return UniPoly._make(list(self._num), self._num[-1])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         a, b = self, other
@@ -252,8 +238,8 @@ class UniPoly:
             t0, t1 = t1, t0 - q * t1
         if r0.is_zero():
             return r0, s0, t0
-        scale = UniPoly.constant(1 / r0.leading())
-        return r0 * scale, s0 * scale, t0 * scale
+        n, d = r0._den, r0._num[-1]  # 1 / lead
+        return r0.monic(), _up_scale(s0, n, d), _up_scale(t0, n, d)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -318,6 +304,49 @@ class UniPoly:
         return acc
 
 
+def _up_add(a: UniPoly, b: UniPoly, sign: int) -> UniPoly:
+    """a + sign * b on the integer vectors."""
+    an, bn = a._num, b._num
+    if a._den == b._den:
+        den = a._den
+    else:
+        den = lcm(a._den, b._den)
+        fa, fb = den // a._den, den // b._den
+        an = [x * fa for x in an]
+        bn = [y * fb for y in bn]
+    if sign < 0:
+        bn = [-y for y in bn]
+    if len(an) < len(bn):
+        an, bn = bn, an
+    n = [x + y for x, y in zip(an, bn)]
+    n.extend(an[len(bn):])
+    return UniPoly._make(n, den)
+
+
+def _up_mul(a: UniPoly, b: UniPoly) -> UniPoly:
+    """a * b on the integer vectors; a constant factor scales the other."""
+    an, bn = a._num, b._num
+    if not an or not bn:
+        return _UP_ZERO
+    if len(an) > len(bn):
+        an, bn = bn, an
+    if len(an) == 1:
+        c = an[0]
+        out = [c * y for y in bn]
+    else:
+        out = [0] * (len(an) + len(bn) - 1)
+        for i, x in enumerate(an):
+            if x:
+                for j, y in enumerate(bn):
+                    out[i + j] += x * y
+    return UniPoly._make(out, a._den * b._den)
+
+
+def _up_scale(a: UniPoly, n: int, d: int) -> UniPoly:
+    """a * (n / d) for integers n, d != 0."""
+    return UniPoly._make([c * n for c in a._num], a._den * d)
+
+
 def _as_unipoly(x):
     if isinstance(x, UniPoly):
         return x
@@ -328,7 +357,6 @@ def _as_unipoly(x):
     return NotImplemented
 
 
-_UP_ZERO: Optional[UniPoly] = None
 _UP_ZERO = UniPoly((), 1)
 _UP_ONE = UniPoly((1,), 1)
 UNIPOLY_X = UniPoly((0, 1), 1)
@@ -581,8 +609,7 @@ class Cyclotomic:
         g, s, _ = a.xgcd(Phi)
         if g.degree != 0:
             raise ZeroDivisionError("element not invertible (unexpected)")
-        inv = s * UniPoly.constant(1 / g.coefficient(0))
-        rem = inv % Phi
+        rem = s % Phi  # g is monic, so g == 1
         return Cyclotomic._from_ints(self.order, list(rem._num), rem._den)
 
     def __truediv__(self, other):
@@ -662,7 +689,12 @@ class Cyclotomic:
 
 
 class RatFunc:
-    """A rational function num/den over Q, gcd-reduced with monic denominator."""
+    """A rational function num/den over Q, gcd-reduced with monic denominator.
+
+    Invariant: ``den`` is the shared ``_UP_ONE`` object if and only if the
+    value is a polynomial, so ``den is _UP_ONE`` is the polynomial test and
+    sums and products of polynomials stay in the UniPoly integer kernels.
+    """
 
     __slots__ = ("num", "den")
 
@@ -677,18 +709,16 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return RatFunc(_UP_ZERO, _UP_ONE)
-        if den.is_one():
-            return RatFunc(num, den)
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        lead = den.leading()
-        if lead != 1:
-            inv = UniPoly.constant(1 / lead)
-            num = num * inv
-            den = den * inv
-        return RatFunc(num, den)
+        if den.degree > 0:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num.divexact(g)
+                den = den.divexact(g)
+        lead = den._num[-1]  # den's leading coefficient is lead / den._den
+        if lead != den._den:
+            num = _up_scale(num, den._den, lead)
+            den = den.monic()
+        return RatFunc(num, _UP_ONE if den.degree == 0 else den)
 
     @staticmethod
     def from_poly(p: UniPoly) -> "RatFunc":
@@ -705,7 +735,7 @@ class RatFunc:
         return not self.num.is_zero()
 
     def is_constant(self) -> bool:
-        return self.den.is_one() and self.num.is_constant()
+        return self.den is _UP_ONE and self.num.is_constant()
 
     def rational_value(self) -> Fraction:
         if not self.is_constant():
@@ -723,13 +753,20 @@ class RatFunc:
             raise FieldMismatchError("cannot mix rational-function and cyclotomic values")
         return None
 
+    @staticmethod
+    def _combine(a: "RatFunc", b: "RatFunc", sign: int) -> "RatFunc":
+        """a + sign * b.  Calls no RatFunc operator, so that an instrumented
+        ``__add__`` counts only the additions callers make."""
+        if a.den is _UP_ONE and b.den is _UP_ONE:
+            return RatFunc(_up_add(a.num, b.num, sign), _UP_ONE)
+        return RatFunc.make(_up_add(_up_mul(a.num, b.den), _up_mul(b.num, a.den), sign),
+                            _up_mul(a.den, b.den))
+
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num + o.num, _UP_ONE)
-        return RatFunc.make(self.num * o.den + o.num * self.den, self.den * o.den)
+        return RatFunc._combine(self, o, 1)
 
     __radd__ = __add__
 
@@ -737,24 +774,32 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return RatFunc._combine(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return RatFunc._combine(o, self, -1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num * o.num, _UP_ONE)
-        return RatFunc.make(self.num * o.num, self.den * o.den)
+        o = other
+        if type(o) is not RatFunc:
+            if isinstance(o, (int, Fraction)):
+                # a nonzero rational factor keeps num/den reduced, den monic
+                if not o:
+                    return RatFunc(_UP_ZERO, _UP_ONE)
+                return RatFunc(_up_scale(self.num, o.numerator, o.denominator),
+                               self.den)
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
+        if self.den is _UP_ONE and o.den is _UP_ONE:
+            return RatFunc(_up_mul(self.num, o.num), _UP_ONE)
+        return RatFunc.make(_up_mul(self.num, o.num), _up_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -764,7 +809,7 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc.make(self.num * o.den, self.den * o.num)
+        return RatFunc.make(_up_mul(self.num, o.den), _up_mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -795,7 +840,7 @@ class RatFunc:
             return "0"
         if self.is_constant():
             return str(self.num.coefficient(0))
-        if self.den.is_one():
+        if self.den is _UP_ONE:
             return f"({self.num.to_text()})"
         return f"({self.num.to_text()})/({self.den.to_text()})"
 
@@ -848,7 +893,7 @@ def specialize_at_rational(f: Union[RatFunc, UniPoly], r: Union[int, Fraction]) 
     f = _as_ratfunc(f)
     r = _fr(r)
     num, den = f.num, f.den
-    linear = UniPoly.from_fractions([-r, Fraction(1)])
+    linear = UniPoly.from_ints([-r.numerator, r.denominator])  # a multiple of rho - r
     while True:
         dv = den.evaluate(r)
         nv = num.evaluate(r)

@@ -49,6 +49,16 @@ def mono_mul_var(m: Mono, r: int) -> Mono:
     return tuple(out)
 
 
+def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """The product t^m1 * t^m2."""
+    if not m1 or not m2:
+        return m1 or m2
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
+
+
 def mono_text(m: Mono) -> str:
     if not m:
         return ""
@@ -214,13 +224,7 @@ class TPoly:
                 c = c1 * c2
                 if not c:
                     continue
-                if m1 and m2:
-                    d = dict(m1)
-                    for v, e in m2:
-                        d[v] = d.get(v, 0) + e
-                    m = tuple(sorted(d.items()))
-                else:
-                    m = m1 or m2
+                m = mono_mul(m1, m2)
                 cur = out.get(m)
                 if cur is None:
                     out[m] = c

@@ -2,23 +2,27 @@
 the row operators B_m, and through them the polynomials Q_label.
 
 B(u) = exp(sum_k (1 - rho^k) t_k u^k) * exp(-sum_k (1/k) d_k u^{-k}), and
-B_m is the u^m coefficient.  Applying B_m to a homogeneous f of degree d:
+B_m is the u^m coefficient (N. Jing, Vertex operators and Hall-Littlewood
+symmetric functions, Adv. Math. 87 (1991)).  The annihilation factor acts on
+each t_k^e of a monomial on its own, exp(-d_k u^{-k} / k) t_k^e =
+sum_s C(e, s) (-1/k)^s u^{-ks} t_k^{e-s}, so on a monomial t^mu
 
-    B_m f = sum_{j=0}^{d} E_{m+j} * g_j,
+    B_m t^mu = sum_{nu <= mu} E_{m+|mu|-|nu|} t^nu prod_k C(e_k, s_k) (-1/k)^{s_k}
 
-where g_j is the u^{-j} coefficient of the annihilation factor applied to f
-and E_i is the u^i coefficient of the creation factor (E_i = Q_{(i)}).
-Everything here is exact over Q, Q(rho), or a cyclotomic field.
+with s = mu - nu, where E_i is the u^i coefficient of the creation factor
+(E_i = Q_{(i)}).  Everything here is exact over Q, Q(rho), or a cyclotomic
+field.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Optional
 
 from .exactnum import FieldMismatchError, RhoSpec
-from .tring import DegeneratePairingError, Mono, TPoly, mono_degree
+from .tring import DegeneratePairingError, Mono, TPoly, mono_degree, mono_mul
 
 Label = tuple[int, ...]
 
@@ -38,7 +42,7 @@ _CACHE_MAX = int(os.environ.get("HLVIR_CACHE_MAX", "400000"))
 def _new_cache() -> dict:
     """A registered memo dict: written only through ``_cache_put`` (so
     ``--no-cache`` and ``HLVIR_CACHE_MAX`` apply) and emptied by
-    ``clear_caches``."""
+    ``clear_caches``.  A full cache evicts its oldest entry."""
     cache: dict = {}
     _CACHES.append(cache)
     return cache
@@ -63,8 +67,8 @@ def clear_caches() -> None:
 
 def _cache_put(cache: dict, key, value):
     if _CACHE_ENABLED:
-        if len(cache) >= _CACHE_MAX:
-            cache.clear()
+        while cache and len(cache) >= _CACHE_MAX:
+            del cache[next(iter(cache))]  # dicts keep insertion order
         cache[key] = value
     return value
 
@@ -94,48 +98,38 @@ def one_row(i: int, rho: RhoSpec) -> TPoly:
 
 
 # ---------------------------------------------------------------------------
-# the annihilation half
-
-def _lower_coeffs(f: TPoly) -> list[TPoly]:
-    """g_j = [u^{-j}] exp(-sum_k (1/k) d_k u^{-k}) f for j = 0..deg f."""
-    d = f.degree()
-    if d < 0:
-        return []
-    g = [TPoly.zero(f.field) for _ in range(d + 1)]
-    g[0] = f
-    variables = sorted({v for m in f.terms for v, _ in m})
-    for k in variables:
-        old = list(g)
-        ders = old
-        s = 1
-        c = Fraction(1)
-        while k * s <= d:
-            c *= Fraction(-1, k * s)
-            ders = [p.diff(k) for p in ders]
-            if not any(ders):
-                break
-            for j in range(k * s, d + 1):
-                src = ders[j - k * s]
-                if src:
-                    g[j] = g[j] + src.scale(c)
-            s += 1
-    return g
-
+# row operators on monomials
 
 def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono) -> TPoly:
+    """B_m t^mono, by the closed form in the module docstring."""
     key = (rho.key, m, mono)
     hit = _B_CACHE.get(key)
     if hit is not None:
         return hit
-    field = rho.field
-    f = TPoly(field, {mono: field.one})
-    out = TPoly.zero(field)
-    for j, gj in enumerate(_lower_coeffs(f)):
-        i = m + j
-        if i < 0 or not gj:
+    # lowered[j]: the (nu, weight) with |mono| - |nu| = j
+    lowered: dict[int, list[tuple[Mono, Fraction]]] = {0: [((), Fraction(1))]}
+    for k, e in mono:
+        step: dict[int, list] = {}
+        for s in range(e + 1):
+            w = comb(e, s) * Fraction(-1, k) ** s
+            part = ((k, e - s),) if s < e else ()
+            for j, terms in lowered.items():
+                step.setdefault(j + k * s, []).extend(
+                    (nu + part, c * w) for nu, c in terms)
+        lowered = step
+    out: dict = {}
+    for j in sorted(lowered):
+        if m + j < 0:
             continue
-        out = out + one_row(i, rho) * gj
-    return _cache_put(_B_CACHE, key, out)
+        row = one_row(m + j, rho).terms
+        for nu, c in lowered[j]:
+            for mono_e, a in row.items():
+                prod = mono_mul(mono_e, nu)
+                v = a if c == 1 else a * c
+                cur = out.get(prod)
+                out[prod] = v if cur is None else cur + v
+    res = TPoly(rho.field, {mo: c for mo, c in out.items() if c})
+    return _cache_put(_B_CACHE, key, res)
 
 
 def apply_B(m: int, f: TPoly, rho: RhoSpec) -> TPoly:

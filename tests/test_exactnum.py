@@ -5,11 +5,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlvir.exactnum import (GENERIC, QQ, Cyclotomic, PoleError, RatFunc,
-                            RhoSpec, UniPoly, cyclotomic_field,
+from hlvir.exactnum import (_UP_ONE, GENERIC, QQ, Cyclotomic, PoleError,
+                            RatFunc, RhoSpec, UniPoly, cyclotomic_field,
                             cyclotomic_poly, euler_phi,
                             specialize_at_rational, specialize_at_root)
 
@@ -22,7 +23,11 @@ def cyclo_elems(order):
         lambda cs: Cyclotomic.make(order, cs))
 
 
-unipolys = st.lists(fractions, min_size=1, max_size=5).map(UniPoly.from_fractions)
+# degree up to 12, rational coefficients, and a lead drawn separately so that
+# integer leads other than +-1 are common
+unipolys = st.tuples(st.lists(fractions, max_size=12),
+                     st.integers(-7, 7) | fractions).map(
+    lambda t: UniPoly.from_fractions(t[0] + [t[1]]))
 
 
 # -- euler phi and cyclotomic polynomials
@@ -77,6 +82,45 @@ def test_unipoly_gcd_divides_both(a, b):
 @given(unipolys)
 def test_unipoly_text_round_trip(p):
     assert UniPoly.parse(p.to_text()) == p
+
+
+# -- division against sympy, which shares no code with UniPoly
+
+_X = sympy.Symbol("x")
+
+
+def _sym(p):
+    return sympy.Poly(list(reversed(p.coefficients)) or [0], _X, domain=sympy.QQ)
+
+
+def _from_sym(p):
+    return UniPoly.from_fractions(
+        [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(unipolys, unipolys)
+def test_unipoly_division_matches_sympy(a, b):
+    sa, sb = _sym(a), _sym(b)
+    if b:
+        q, r = divmod(a, b)
+        sq, sr = sympy.div(sa, sb)
+        assert (q, r) == (_from_sym(sq), _from_sym(sr))
+        assert (a * b).divexact(b) == a
+        if sr.is_zero:
+            assert a.divexact(b) == _from_sym(sympy.exquo(sa, sb))
+        else:
+            with pytest.raises(ValueError):
+                a.divexact(b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+    g = a.gcd(b)
+    assert g == _from_sym(sympy.gcd(sa, sb))
+    if a and b:  # sympy's gcdex needs both nonzero
+        g, s, t = a.xgcd(b)
+        ss, st_, sg = sympy.gcdex(sa, sb)
+        assert (g, s, t) == (_from_sym(sg), _from_sym(ss), _from_sym(st_))
 
 
 # -- cyclotomic field axioms
@@ -200,6 +244,31 @@ def test_ratfunc_field_operations(ns, ds):
 def test_ratfunc_text_round_trip(ns):
     a = RatFunc.from_poly(UniPoly.from_fractions(ns))
     assert RatFunc.parse(a.to_text()) == a
+
+
+small_unipolys = st.lists(fractions, min_size=1, max_size=4).map(UniPoly.from_fractions)
+ratfuncs = st.tuples(small_unipolys, small_unipolys).filter(lambda t: t[1]).map(
+    lambda t: RatFunc.make(*t))
+
+
+def _assert_canonical(v):
+    """den is the shared _UP_ONE iff v is a polynomial; den monic, coprime."""
+    assert (v.den is _UP_ONE) == (v.den.degree == 0)
+    assert v.den.leading() == 1
+    assert v.num.gcd(v.den).degree <= 0
+
+
+@given(ratfuncs, ratfuncs, fractions, st.integers(-3, 3))
+def test_ratfunc_polynomial_denominator_is_shared_one(a, b, q, e):
+    values = [a, b, a + b, a - b, a * b, a * q, q * a, a + q, q - a, -a,
+              RatFunc.parse(a.to_text()), RatFunc.make(a.num, UniPoly.constant(2)),
+              RatFunc.make(a.num * a.den, a.den)]
+    if b:
+        values += [a / b, q / b, b ** e]
+    for v in values:
+        _assert_canonical(v)
+    assert RatFunc.make(a.num * a.den, a.den) == RatFunc.from_poly(a.num)
+    assert RatFunc.make(a.num, UniPoly.constant(2)) == a.num * Fraction(1, 2)
 
 
 # -- specialization plumbing

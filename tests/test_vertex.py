@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlvir import vertex
 from hlvir.exactnum import (QQ, RHO_GENERIC, RHO_ZERO, RhoSpec,
-                            specialize_at_root)
+                            specialize_at_rational, specialize_at_root)
 from hlvir.structure import partitions
 from hlvir.tring import TPoly, inner_product, mono_from_exponents
-from hlvir.vertex import (AdjointUndefinedError, QCombination, apply_B,
-                          clear_caches, hl_q, one_row, perp_p, perp_t,
-                          set_cache_enabled)
+from hlvir.vertex import (AdjointUndefinedError, QCombination, _apply_b_mono,
+                          apply_B, clear_caches, hl_q, one_row, perp_p,
+                          perp_t, set_cache_enabled)
 
 
 def exp_series(arg_terms, max_degree):
@@ -56,6 +57,51 @@ def test_one_row_matches_generating_function(rho):
             field, ((m, c) for m, c in series.terms.items()
                     if sum(v * e for v, e in m) == i))
         assert one_row(i, rho) == graded
+
+
+def _lower_coeffs(f):
+    """Reference for the annihilation half, by derivatives: g_j is the
+    u^{-j} coefficient of exp(-sum_k (1/k) d_k u^{-k}) f, j = 0..deg f."""
+    d = f.degree()
+    if d < 0:
+        return []
+    g = [TPoly.zero(f.field) for _ in range(d + 1)]
+    g[0] = f
+    variables = sorted({v for m in f.terms for v, _ in m})
+    for k in variables:
+        old = list(g)
+        ders = old
+        s = 1
+        c = Fraction(1)
+        while k * s <= d:
+            c *= Fraction(-1, k * s)
+            ders = [p.diff(k) for p in ders]
+            if not any(ders):
+                break
+            for j in range(k * s, d + 1):
+                src = ders[j - k * s]
+                if src:
+                    g[j] = g[j] + src.scale(c)
+            s += 1
+    return g
+
+
+@pytest.mark.parametrize("rho", [RHO_GENERIC, RHO_ZERO, RhoSpec.rational(2),
+                                 RhoSpec.root(3)])
+def test_closed_form_b_matches_derivative_route(rho):
+    """B_m t^mu by the closed form equals sum_j E_{m+j} g_j with g_j from
+    the derivatives, for every monomial of degree <= 6 and m in -3..3."""
+    field = rho.field
+    for d in range(7):
+        for lam in partitions(d):
+            mono = mono_from_exponents((v, lam.count(v)) for v in set(lam))
+            g = _lower_coeffs(TPoly(field, {mono: field.one}))
+            for m in range(-3, 4):
+                want = TPoly.zero(field)
+                for j, gj in enumerate(g):
+                    if m + j >= 0 and gj:
+                        want = want + one_row(m + j, rho) * gj
+                assert _apply_b_mono(rho, m, mono) == want, (rho, m, mono)
 
 
 def test_one_row_examples():
@@ -164,6 +210,20 @@ def test_qcombination_evaluate_linearity():
     assert comb.evaluate(rho) == direct
 
 
+def test_full_cache_evicts_its_oldest_entry(monkeypatch):
+    rho = RHO_ZERO
+    want = {k: hl_q((k,), rho) for k in range(1, 6)}
+    clear_caches()
+    monkeypatch.setattr(vertex, "_CACHE_MAX", 3)
+    try:
+        for k in range(1, 6):
+            assert hl_q((k,), rho) == want[k]
+        assert list(vertex._Q_CACHE) == [(rho.key, (k,)) for k in (3, 4, 5)]
+        assert all(len(cache) <= 3 for cache in vertex._CACHES)
+    finally:
+        clear_caches()
+
+
 def test_cache_toggle_preserves_results():
     x2 = RhoSpec.root(2)
     with_cache = hl_q((3, 2, 1), x2)
@@ -194,3 +254,14 @@ def test_root_of_unity_matches_specialized_generic(n):
         want = TPoly.from_terms(rho.field, (
             (m, specialize_at_root(c, n)) for m, c in generic.terms.items()))
         assert hl_q(lam, rho) == want, (lam, n)
+
+
+@pytest.mark.parametrize("r", [0, 2, -1, Fraction(1, 2)])
+def test_rational_rho_matches_specialized_generic(r):
+    """The same cross-field check at rational rho = r."""
+    rho = RhoSpec.rational(r)
+    for lam in ORACLE_LABELS:
+        generic = hl_q(lam, RHO_GENERIC)
+        want = TPoly.from_terms(QQ, (
+            (m, specialize_at_rational(c, r)) for m, c in generic.terms.items()))
+        assert hl_q(lam, rho) == want, (lam, r)
