@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 RHO_SYMBOL = "ρ"  # the indeterminate of Q(rho) in canonical text
 
@@ -34,6 +34,19 @@ class PoleError(ArithmeticError):
 
 def _fr(x: Union[int, Fraction]) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def signed_join(terms: Iterable[tuple[bool, str]]) -> str:
+    """Canonical text of a sum from its (negative, magnitude text) terms:
+    "a - b + c"; "0" for no terms."""
+    out = []
+    for neg, body in terms:
+        if out:
+            out.append(" - " if neg else " + ")
+        elif neg:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +216,6 @@ class UniPoly:
         return (UniPoly._make([x * other._den for x in q], den),
                 UniPoly._make(rem, den))
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -271,28 +281,19 @@ class UniPoly:
     # -- text (descending powers, canonical)
 
     def to_text(self, symbol: str = RHO_SYMBOL) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
+        terms = []
         for i in range(self.degree, -1, -1):
             c = self.coefficient(i)
             if c == 0:
                 continue
-            parts.append((c, i))
-        out = []
-        for idx, (c, i) in enumerate(parts):
-            neg = c < 0
-            mag = -c if neg else c
+            mag = abs(c)
             if i == 0:
                 body = str(mag)
             else:
                 xs = symbol if i == 1 else f"{symbol}^{i}"
                 body = xs if mag == 1 else f"{mag}*{xs}"
-            if idx == 0:
-                out.append(f"-{body}" if neg else body)
-            else:
-                out.append(f" - {body}" if neg else f" + {body}")
-        return "".join(out)
+            terms.append((c < 0, body))
+        return signed_join(terms)
 
     @staticmethod
     def parse(text: str, symbol: str = RHO_SYMBOL) -> "UniPoly":
@@ -400,6 +401,8 @@ def _parse_power_term(tok: str, symbol: str) -> tuple[Fraction, int]:
 # cyclotomic polynomials and fields
 
 
+# Not in the vertex cache registry: one small int per root order, and
+# --max-xi-order bounds the orders.
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
@@ -418,6 +421,8 @@ def euler_phi(n: int) -> int:
     return out
 
 
+# Not in the vertex cache registry: one Phi_n per root order, a modulus of the
+# field rather than a result.
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> UniPoly:
     """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
@@ -430,6 +435,8 @@ def cyclotomic_poly(n: int) -> UniPoly:
     return num
 
 
+# Not in the vertex cache registry: every Cyclotomic product folds through it,
+# so --no-cache must not drop it.
 @lru_cache(maxsize=None)
 def _cyclo_tables(n: int):
     """phi(n), Phi_n, and the integer rows z^j mod Phi_n for
@@ -652,24 +659,18 @@ class Cyclotomic:
         return f"Cyclotomic({self.order}, {self.to_text()})"
 
     def to_text(self) -> str:
-        if self.is_zero():
-            return "0"
-        out = []
+        terms = []
         for k, c in enumerate(self.num):
             if c == 0:
                 continue
-            neg = c < 0
-            mag = Fraction(-c if neg else c, self.den)
+            mag = Fraction(abs(c), self.den)
             if k == 0:
                 body = str(mag)
             else:
                 zs = "z" if k == 1 else f"z^{k}"
                 body = f"{mag}*{zs}"
-            if not out:
-                out.append(f"-{body}" if neg else body)
-            else:
-                out.append(f" - {body}" if neg else f" + {body}")
-        return "".join(out)
+            terms.append((c < 0, body))
+        return signed_join(terms)
 
     @staticmethod
     def parse(order: int, text: str) -> "Cyclotomic":
@@ -1023,6 +1024,8 @@ QQ = RationalField()
 GENERIC = GenericField()
 
 
+# Not in the vertex cache registry: it interns the tag that
+# ``field is other.field`` relies on, so it must never be emptied.
 @lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> CyclotomicFieldTag:
     return CyclotomicFieldTag(n)
@@ -1118,6 +1121,8 @@ class RhoSpec:
         return f"xi:{self.order}"
 
 
+# Not in the vertex cache registry: a few constants per rho, read in every
+# one_row and perp_t step.
 @lru_cache(maxsize=None)
 def _one_minus_rho_pow(rho: RhoSpec, k: int):
     return rho.field.from_fraction(1) - rho.rho_pow(k)

@@ -32,6 +32,8 @@ def strip_zeros(label: Iterable[int]) -> Label:
     return label
 
 
+# Not in the vertex cache registry: field-free combinatorics, bounded by the
+# largest weight asked for.
 @lru_cache(maxsize=None)
 def partitions(n: int, max_part: Optional[int] = None) -> tuple[Label, ...]:
     """All partitions of n with parts bounded by max_part, largest part first."""
@@ -161,6 +163,8 @@ def _phi_poly(k: int) -> UniPoly:
     return out
 
 
+# Not in the vertex cache registry: one rho-free rational function per mu, the
+# source that the registered per-rho c_coeff cache specializes.
 @lru_cache(maxsize=None)
 def c_coeff_generic(mu: Label) -> RatFunc:
     """c_mu as a rational function of rho.

@@ -22,7 +22,8 @@ from math import comb
 from typing import Iterable, Optional
 
 from .exactnum import FieldMismatchError, RhoSpec
-from .tring import DegeneratePairingError, Mono, TPoly, mono_degree, mono_mul
+from .tring import (DegeneratePairingError, Mono, Sparse, TPoly, _embed,
+                    mono_degree, mono_mul)
 
 Label = tuple[int, ...]
 
@@ -77,24 +78,31 @@ def _cache_put(cache: dict, key, value):
 # one-row generators
 
 def one_row(i: int, rho: RhoSpec) -> TPoly:
-    """E_i = Q_{(i)}, from i*E_i = sum_{k=1}^{i} k (1 - rho^k) t_k E_{i-k}."""
+    """E_i = Q_{(i)}, from j*E_j = sum_{k=1}^{j} k (1 - rho^k) t_k E_{j-k},
+    built up from E_0 through every E_j not cached yet."""
     field = rho.field
     if i < 0:
         return TPoly.zero(field)
     if i == 0:
         return TPoly.one(field)
-    key = (rho.key, i)
-    hit = _E_CACHE.get(key)
+    hit = _E_CACHE.get((rho.key, i))
     if hit is not None:
         return hit
-    acc = TPoly.zero(field)
-    for k in range(1, i + 1):
-        factor = rho.one_minus_rho_pow(k)
-        if not factor:
-            continue
-        scalar = factor * field.from_fraction(Fraction(k, i))
-        acc = acc + one_row(i - k, rho).mul_var(k, scalar)
-    return _cache_put(_E_CACHE, key, acc)
+    rows = [TPoly.one(field)]
+    for j in range(1, i + 1):
+        key = (rho.key, j)
+        row = _E_CACHE.get(key)
+        if row is None:
+            row = TPoly.zero(field)
+            for k in range(1, j + 1):
+                factor = rho.one_minus_rho_pow(k)
+                if not factor:
+                    continue
+                scalar = factor * field.from_fraction(Fraction(k, j))
+                row = row + rows[j - k].mul_var(k, scalar)
+            _cache_put(_E_CACHE, key, row)
+        rows.append(row)
+    return rows[i]
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +160,26 @@ def hl_q(label: Iterable[int], rho: RhoSpec) -> TPoly:
 
     Defined for any integer label; vanishes whenever some tail sum
     a_j + ... + a_l is negative, and is homogeneous of degree sum(label)
-    otherwise.
+    otherwise.  Starts from the longest cached suffix and caches every
+    longer one it builds.
     """
     label = tuple(int(x) for x in label)
     field = rho.field
-    if not label:
-        return TPoly.one(field)
     tail = 0
     for x in reversed(label):
         tail += x
         if tail < 0:
             return TPoly.zero(field)
-    key = (rho.key, label)
-    hit = _Q_CACHE.get(key)
-    if hit is not None:
-        return hit
-    res = apply_B(label[0], hl_q(label[1:], rho), rho)
-    return _cache_put(_Q_CACHE, key, res)
+    start = len(label)
+    out = TPoly.one(field)
+    for j in range(len(label)):
+        hit = _Q_CACHE.get((rho.key, label[j:]))
+        if hit is not None:
+            start, out = j, hit
+            break
+    for j in range(start - 1, -1, -1):
+        out = _cache_put(_Q_CACHE, (rho.key, label[j:]), apply_B(label[j], out, rho))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,151 +209,50 @@ def label_text(label: Label) -> str:
     return "Q[" + ",".join(str(x) for x in label) + "]"
 
 
-class QCombination:
+class QCombination(Sparse):
     """A formal linear combination of Q_label symbols over a coefficient
     field.  Labels are arbitrary integer tuples; no rewriting is applied."""
 
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms: dict):
-        self.field = field
-        self.terms = terms
-
-    @staticmethod
-    def zero(field) -> "QCombination":
-        return QCombination(field, {})
+    __slots__ = ()
 
     @staticmethod
     def single(field, label: Iterable[int], coeff=None) -> "QCombination":
         label = tuple(int(x) for x in label)
-        if coeff is None:
-            coeff = field.one
-        elif isinstance(coeff, (int, Fraction)):
-            coeff = field.from_fraction(coeff)
+        coeff = field.one if coeff is None else _embed(field, coeff)
         if not coeff:
             return QCombination(field, {})
         return QCombination(field, {label: coeff})
-
-    @staticmethod
-    def from_terms(field, items: Iterable[tuple[Label, object]]) -> "QCombination":
-        acc: dict = {}
-        for label, c in items:
-            label = tuple(int(x) for x in label)
-            if not c:
-                continue
-            cur = acc.get(label)
-            if cur is None:
-                acc[label] = c
-            else:
-                cur = cur + c
-                if cur:
-                    acc[label] = cur
-                else:
-                    del acc[label]
-        return QCombination(field, acc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _check(self, other: "QCombination"):
-        if self.field is not other.field:
-            raise FieldMismatchError(
-                f"combinations over different fields: {self.field.name} vs {other.field.name}")
-
-    def __add__(self, other: "QCombination") -> "QCombination":
-        if not isinstance(other, QCombination):
-            return NotImplemented
-        self._check(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for label, c in other.terms.items():
-            cur = out.get(label)
-            if cur is None:
-                out[label] = c
-            else:
-                cur = cur + c
-                if cur:
-                    out[label] = cur
-                else:
-                    del out[label]
-        return QCombination(self.field, out)
-
-    def __neg__(self) -> "QCombination":
-        return QCombination(self.field, {l: -c for l, c in self.terms.items()})
-
-    def __sub__(self, other: "QCombination") -> "QCombination":
-        if not isinstance(other, QCombination):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "QCombination":
-        if isinstance(c, (int, Fraction)):
-            c = self.field.from_fraction(c)
-        if not c:
-            return QCombination(self.field, {})
-        out = {}
-        for label, a in self.terms.items():
-            v = a * c
-            if v:
-                out[label] = v
-        return QCombination(self.field, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, QCombination):
-            return NotImplemented
-        return self.field is other.field and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.field.key, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"QCombination({self.to_text()})"
 
     def evaluate(self, rho: RhoSpec) -> TPoly:
         """Expand every Q_label into the t-polynomial ring."""
         if self.field is not rho.field:
             raise FieldMismatchError("combination field does not match rho")
         out = TPoly.zero(self.field)
-        for label, c in sorted(self.terms.items(), key=lambda kv: _label_sort_key(kv[0])):
+        for label, c in self.canonical_items():
             q = hl_q(label, rho)
             if q:
                 out = out + q.scale(c)
         return out
 
-    def canonical_items(self) -> list[tuple[Label, object]]:
-        return sorted(self.terms.items(), key=lambda kv: _label_sort_key(kv[0]))
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        field = self.field
-        pieces = []
-        for label, c in self.canonical_items():
-            sign, mag = field.split_sign(c)
-            body = f"{field.factor_text(mag)}*{label_text(label)}"
-            if not pieces:
-                pieces.append(f"-{body}" if sign < 0 else body)
-            else:
-                pieces.append(f" - {body}" if sign < 0 else f" + {body}")
-        return "".join(pieces)
-
-    def to_json(self) -> list:
-        return [
-            {"label": list(label), "coeff": self.field.value_text(c)}
-            for label, c in self.canonical_items()
-        ]
+    # -- key hooks: labels sorted by length, then descending lexicographically
 
     @staticmethod
-    def from_json(field, data: list) -> "QCombination":
-        return QCombination.from_terms(
-            field, ((tuple(int(x) for x in e["label"]), field.parse(e["coeff"]))
-                    for e in data))
+    def _key_order():
+        return _label_sort_key
+
+    @staticmethod
+    def _term_text(factor: str, label: Label) -> str:
+        return f"{factor}*{label_text(label)}"
+
+    _JSON_KEY = "label"
+
+    @staticmethod
+    def _key_to_json(label: Label) -> list:
+        return list(label)
+
+    @staticmethod
+    def _key_from_json(data: list) -> Label:
+        return tuple(int(x) for x in data)
 
 
 def perp_p(k: int, comb: QCombination) -> QCombination:

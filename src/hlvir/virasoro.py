@@ -76,6 +76,8 @@ def _second_order_terms(n: int, m: int, skip: Optional[int]) -> list[OpTerm]:
     return out
 
 
+# Not in the vertex cache registry: small rho-free term lists, one per
+# operator spec, shared by every field.
 @lru_cache(maxsize=None)
 def build_operator(spec: VirasoroSpec) -> LinOperator:
     family, m, n = spec.family, spec.m, spec.n

@@ -20,6 +20,12 @@ from hlvir.virasoro import CASE_IDS, IDENTITIES
 GOLDEN_VERIFY = json.loads(
     (pathlib.Path(__file__).with_name("verify_golden.json")).read_text("utf-8"))
 
+# q / straighten / coeff / mulp / apply outputs at each kind of rho, recorded
+# before TPoly and QCombination moved onto one sparse core:
+# {name: {"args": ..., "text": stdout, "json": stdout}}
+GOLDEN_QUERIES = json.loads(
+    (pathlib.Path(__file__).with_name("cli_golden.json")).read_text("utf-8"))
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -46,6 +52,15 @@ def test_q_negative_tail_is_zero(capsys):
 
 def test_q_empty_label(capsys):
     code, out, _ = run_cli(capsys, "q", "--rho", "0", "--lambda", "")
+    assert code == 0 and out == "1\n"
+
+
+def test_q_long_weight_zero_label(capsys):
+    lam = ",".join(["-1,1"] * 1500)
+    try:
+        code, out, _ = run_cli(capsys, "q", "--rho", "0", f"--lambda={lam}")
+    finally:
+        clear_caches()
     assert code == 0 and out == "1\n"
 
 
@@ -91,6 +106,14 @@ def test_verify_golden(capsys, name, fmt):
     entry = GOLDEN_VERIFY[name]
     code, out, _ = run_cli(capsys, "verify", "--case", name,
                            *entry["args"].split(), "--format", fmt)
+    assert code == 0 and out == entry[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+def test_query_golden(capsys, name, fmt):
+    entry = GOLDEN_QUERIES[name]
+    code, out, _ = run_cli(capsys, *entry["args"].split(), "--format", fmt)
     assert code == 0 and out == entry[fmt]
 
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hlvir.exactnum import QQ, RHO_GENERIC, RhoSpec
+from hlvir.exactnum import GENERIC, QQ, RHO_GENERIC, FieldMismatchError, RhoSpec
 from hlvir.tring import (DegeneratePairingError, FamilyRule, LinOperator,
                          OpTerm, TPoly, apply, commutator_apply,
                          inner_product, mono_from_exponents)
+from hlvir.vertex import QCombination
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -19,6 +20,43 @@ monos = st.dictionaries(st.integers(min_value=1, max_value=4),
 
 tpolys = st.dictionaries(monos, fractions, max_size=4).map(
     lambda d: TPoly.from_terms(QQ, d.items()))
+
+labels = st.lists(st.integers(min_value=-2, max_value=4), max_size=3).map(tuple)
+
+qcombs = st.dictionaries(labels, fractions, max_size=4).map(
+    lambda d: QCombination.from_terms(QQ, d.items()))
+
+
+# -- the sparse core shared by TPoly and QCombination
+
+@pytest.mark.parametrize("values", [tpolys, qcombs], ids=["TPoly", "QCombination"])
+@given(data=st.data())
+def test_sparse_additive_laws(values, data):
+    f, g, h = data.draw(values), data.draw(values), data.draw(values)
+    c = data.draw(fractions)
+    cls = type(f)
+    zero = cls.zero(QQ)
+    assert (f + g) + h == f + (g + h)
+    assert f - f == zero and f + (-f) == zero
+    assert (f + g).scale(c) == f.scale(c) + g.scale(c)
+    assert f + g == g + f and hash(f + g) == hash(g + f)
+    assert cls.from_json(QQ, f.to_json()) == f
+    items = list(f.terms.items())
+    cancelled = cls.from_terms(QQ, items + [(k, -a) for k, a in items])
+    assert cancelled == zero and not cancelled.terms
+
+
+def test_sparse_types_and_fields_do_not_mix():
+    p, q = TPoly.one(QQ), QCombination.single(QQ, ())
+    with pytest.raises(TypeError, match="unsupported operand"):
+        p + q
+    with pytest.raises(TypeError, match="unsupported operand"):
+        q - p
+    assert p != q
+    with pytest.raises(FieldMismatchError):
+        p + TPoly.one(GENERIC)
+    with pytest.raises(FieldMismatchError):
+        q - QCombination.single(GENERIC, ())
 
 
 # -- ring structure

@@ -237,6 +237,36 @@ def test_cache_toggle_preserves_results():
     assert hl_q((3, 2, 1), x2) == with_cache
 
 
+def test_one_row_without_cache_builds_each_row_once(monkeypatch):
+    # E_j needs one mul_var per k <= j, so E_1..E_20 take at most 210
+    calls = []
+    mul_var = TPoly.mul_var
+
+    def counted(self, *args):
+        calls.append(args)
+        return mul_var(self, *args)
+
+    clear_caches()
+    want = one_row(20, RHO_ZERO)
+    clear_caches()
+    monkeypatch.setattr(TPoly, "mul_var", counted)
+    set_cache_enabled(False)
+    try:
+        got = one_row(20, RHO_ZERO)
+    finally:
+        set_cache_enabled(True)
+    assert len(calls) <= 210
+    assert got == want
+
+
+def test_hl_q_long_weight_zero_label():
+    # one B-step per part, 3000 parts: deeper than Python's recursion limit
+    try:
+        assert hl_q((-1, 1) * 1500, RHO_ZERO) == TPoly.one(QQ)
+    finally:
+        clear_caches()
+
+
 # -- the same Q_lambda computed in two fields
 
 ORACLE_LABELS = [lam for k in range(9) for lam in partitions(k)] + [
