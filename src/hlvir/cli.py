@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .exactnum import PoleError, RhoSpec
 from .structure import SingularCoefficientError, c_coeff, multiply_p, straighten
@@ -158,11 +159,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_desk
-    results = run_desk(echo=print)
+    results = run_desk(echo=print if args.format == "text" else None)
     failed = sum(1 for res in results if not res.passed)
-    total_time = sum(res.seconds for res in results)
-    print(f"desk suite: {len(results)} criteria, {failed} failed,"
-          f" {total_time:.1f}s")
+    if args.format == "json":
+        print(json.dumps({"criteria": [asdict(res) for res in results],
+                          "failed": failed}, sort_keys=True))
+    else:
+        total_time = sum(res.seconds for res in results)
+        print(f"desk suite: {len(results)} criteria, {failed} failed,"
+              f" {total_time:.1f}s")
     return EXIT_OK if failed == 0 else EXIT_UNEQUAL
 
 

@@ -913,7 +913,6 @@ def specialize_at_rational(f: Union[RatFunc, UniPoly], r: Union[int, Fraction]) 
 class RationalField:
     """Plain Q with Fraction values."""
 
-    kind = "rational"
     key = ("Q",)
     name = "Q"
 
@@ -948,8 +947,6 @@ class RationalField:
 
 class CyclotomicFieldTag:
     """Q(xi_n) with Cyclotomic values."""
-
-    kind = "cyclotomic"
 
     def __init__(self, order: int):
         self.order = order
@@ -987,7 +984,6 @@ class CyclotomicFieldTag:
 class GenericField:
     """Q(rho) with RatFunc values."""
 
-    kind = "generic"
     key = ("Qrho",)
     name = "Q(rho)"
 

@@ -2,7 +2,8 @@
 over small exact parameter ranges and report one pass/fail line per criterion.
 
 Everything here is exact; a criterion passes only if every single case in its
-sweep holds as an equality of canonical polynomial forms.
+sweep holds as an equality of canonical polynomial forms.  The criteria are
+the rows of one table, ``CRITERIA``, each run by ``run_criterion``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .exactnum import QQ, RHO_GENERIC, RHO_ZERO, RhoSpec
 from .structure import (SingularCoefficientError, c_coeff, mn_expand,
@@ -40,27 +42,51 @@ class CriterionResult:
         return out
 
 
-class _Tally:
-    def __init__(self):
-        self.cases = 0
-        self.failures: list[str] = []
+@dataclass(frozen=True)
+class Grid:
+    """``verify_case(case_id, **cell)`` at every cell of the product of the
+    axes, taken in the order given; a cell where ``skip(**cell)`` holds is
+    not a case.  A failure reads ``<case id> k=v ... [detail]``."""
 
-    def check(self, ok: bool, describe) -> None:
-        self.cases += 1
-        if not ok and len(self.failures) < MAX_FAILURES_KEPT:
-            self.failures.append(describe() if callable(describe) else describe)
-        elif not ok:
-            self.failures.append("...")
-            self.failures = self.failures[:MAX_FAILURES_KEPT + 1]
+    case_id: str
+    axes: dict
+    skip: Optional[Callable[..., bool]] = None
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
+    def __call__(self):
+        for values in itertools.product(*self.axes.values()):
+            cell = dict(zip(self.axes, values))
+            if self.skip is not None and self.skip(**cell):
+                continue
+            v = verify_case(TheoremCase(self.case_id, **cell))
+            yield v.equal, lambda: " ".join(
+                [self.case_id] + [f"{k}={x.to_text() if k == 'rho' else x}"
+                                  for k, x in cell.items()]
+                + ([v.detail] if v.detail else []))
 
 
-def _result(number: int, name: str, tally: _Tally, t0: float) -> CriterionResult:
-    return CriterionResult(number, name, tally.passed, tally.cases,
-                           time.monotonic() - t0, tally.failures)
+@dataclass(frozen=True)
+class Criterion:
+    number: int
+    name: str
+    # Grids and generator functions, run in order; each yields checks (ok,
+    # describe): the failure text, or a thunk called before the source resumes
+    checks: tuple
+
+
+def run_criterion(row: Criterion) -> CriterionResult:
+    """Run every check of one row; keep the first failures and mark the
+    rest with a single "..."."""
+    t0 = time.monotonic()
+    cases, failures = 0, []
+    for source in row.checks:
+        for ok, describe in source():
+            cases += 1
+            if not ok and len(failures) < MAX_FAILURES_KEPT:
+                failures.append(describe() if callable(describe) else describe)
+            elif not ok:
+                failures[MAX_FAILURES_KEPT:] = ["..."]
+    return CriterionResult(row.number, row.name, not failures, cases,
+                           time.monotonic() - t0, failures)
 
 
 def _int_vectors(max_len: int, lo: int, hi: int, max_size: int):
@@ -74,175 +100,86 @@ def _int_vectors(max_len: int, lo: int, hi: int, max_size: int):
 
 
 def _partitions_upto(max_size: int, max_len: int | None = None):
-    out = []
-    for d in range(max_size + 1):
-        for mu in partitions(d):
-            if max_len is None or len(mu) <= max_len:
-                out.append(mu)
-    return out
+    return [mu for d in range(max_size + 1) for mu in partitions(d)
+            if max_len is None or len(mu) <= max_len]
 
 
 _NON_PARTITIONS = ((0,), (0, 2), (2, -1, 1), (1, 0, 2))
+_LAMS6 = tuple(_partitions_upto(6, 3)) + _NON_PARTITIONS
+_LAMS8 = tuple(_partitions_upto(8, 3)) + _NON_PARTITIONS
+_X2, _X3 = RhoSpec.root(2), RhoSpec.root(3)
+_R_RANGE = range(-4, 7)
+_M_RANGE = (-2, -1, 1, 2)
 
 
-def criterion_1() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    for n in (2, 3, 4):
-        for m in (0, 1, 2):
-            for lam in _int_vectors(3, -2, 4, 8):
-                v = verify_case(TheoremCase("T1.1", n=n, m=m, lam=lam))
-                tally.check(v.equal, lambda: f"n={n} m={m} lam={lam}")
-    return _result(1, "nonnegative-mode action sweep", tally, t0)
+def _anchor():
+    v = verify_case(TheoremCase("T1.2", n=2, m=1, lam=(0,)))
+    yield (v.equal and v.lhs.to_text() == "1/2*t1^2",
+           lambda: f"anchor sides {v.lhs.to_text()} / {v.rhs.to_text()}")
 
 
-def criterion_2() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    lams = _partitions_upto(6, 3) + list(_NON_PARTITIONS)
-    for n in (2, 3):
-        for m in (1, 2):
-            for lam in lams:
-                v = verify_case(TheoremCase("T1.2", n=n, m=m, lam=lam))
-                tally.check(v.equal, lambda: f"n={n} m={m} lam={lam}")
-    anchor = verify_case(TheoremCase("T1.2", n=2, m=1, lam=(0,)))
-    tally.check(anchor.equal and anchor.lhs.to_text() == "1/2*t1^2",
-                lambda: f"anchor sides {anchor.lhs.to_text()} / {anchor.rhs.to_text()}")
-    return _result(2, "negative-mode action sweep", tally, t0)
+def _central_constant():
+    yield (Fraction(2 * 2 * (2 - 1) * (2 ** 3 - 2), 12) == 2,
+           "central constant at n=2, i=2 is not 2")
 
 
-def criterion_3() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    lams = _partitions_upto(6, 3) + list(_NON_PARTITIONS)
-    for n in (2, 3):
-        for m in (1, 2):
-            for lam in lams:
-                v = verify_case(TheoremCase("T3.3", n=n, m=m, lam=lam))
-                tally.check(v.equal, lambda: f"n={n} m={m} lam={lam}")
-    return _result(3, "first-order negative-mode action sweep", tally, t0)
-
-
-def criterion_4() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    tally.check(Fraction(2 * 2 * (2 - 1) * (2 ** 3 - 2), 12) == 2,
-                "central constant at n=2, i=2 is not 2")
-    for n in (2, 3):
-        for i in range(-2, 3):
-            for j in range(-2, 3):
-                v = verify_case(TheoremCase("Bracket", n=n, i=i, j=j, degree=8))
-                tally.check(v.equal, lambda: f"n={n} i={i} j={j}: {v.detail}")
-    return _result(4, "commutation relations", tally, t0)
-
-
-def criterion_5() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    lams = _partitions_upto(6, 3) + list(_NON_PARTITIONS)
-    rhos = (RHO_GENERIC, RHO_ZERO, RhoSpec.root(2), RhoSpec.root(3))
-    for rho in rhos:
-        for r in range(1, 6):
-            if rho.kind == "root" and r % rho.order == 0:
-                try:
-                    multiply_p(r, QCombination.single(rho.field, (1,)), rho)
-                    tally.check(False, f"rho={rho.to_text()} r={r}: no refusal")
-                except SingularCoefficientError:
-                    tally.check(True, "")
-                continue
-            for lam in lams:
-                v = verify_case(TheoremCase("MultFormula", r=r, lam=lam, rho=rho))
-                tally.check(v.equal, lambda: f"rho={rho.to_text()} r={r} lam={lam}")
+def _refusals_and_p_expansions():
+    for rho in (_X2, _X3):
+        for r in range(rho.order, 6, rho.order):
+            try:
+                multiply_p(r, QCombination.single(rho.field, (1,)), rho)
+                yield False, f"rho={rho.to_text()} r={r}: no refusal"
+            except SingularCoefficientError:
+                yield True, ""
     for r in range(1, 7):
         got = p_expand(r, RHO_GENERIC).evaluate(RHO_GENERIC)
         want = TPoly.var(RHO_GENERIC.field, r, r)
-        tally.check(got == want, lambda: f"p-expansion r={r}: {got.to_text()}")
-    return _result(5, "power-sum multiplication rule", tally, t0)
+        yield got == want, lambda: f"p-expansion r={r}: {got.to_text()}"
 
 
-def criterion_6() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    lams = _partitions_upto(6, 3) + list(_NON_PARTITIONS)
-    for rho in (RHO_GENERIC, RhoSpec.root(2), RhoSpec.root(3)):
-        for r in range(1, 6):
-            for lam in lams:
-                v = verify_case(TheoremCase("DerivFormula", r=r, lam=lam, rho=rho))
-                tally.check(v.equal, lambda: f"rho={rho.to_text()} r={r} lam={lam}")
-    return _result(6, "derivative rule", tally, t0)
-
-
-def criterion_7() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    rhos = (RHO_GENERIC, RHO_ZERO, RhoSpec.root(2), RhoSpec.root(3))
-    for rho in rhos:
+def _straightening():
+    for rho in (RHO_GENERIC, RHO_ZERO, _X2, _X3):
         for length in range(0, 5):
             for lam in itertools.product(range(-3, 5), repeat=length):
                 ok = straighten(lam, rho).evaluate(rho) == hl_q(lam, rho)
-                tally.check(ok, lambda: f"rho={rho.to_text()} lam={lam}")
-    return _result(7, "straightening soundness", tally, t0)
+                yield ok, lambda: f"rho={rho.to_text()} lam={lam}"
 
 
-def _is_hook(mu) -> bool:
-    return len(mu) >= 1 and all(x == 1 for x in mu[1:])
-
-
-def criterion_8() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
+def _coefficients():
     # hooks at rho = 0
     for mu in _partitions_upto(8):
         if not mu:
             continue
-        want = Fraction((-1) ** (len(mu) - 1)) if _is_hook(mu) else Fraction(0)
+        hook = all(x == 1 for x in mu[1:])
+        want = Fraction((-1) ** (len(mu) - 1)) if hook else Fraction(0)
         got = c_coeff(mu, RHO_ZERO)
-        tally.check(got == want, lambda: f"c_{mu} at 0: {got} != {want}")
+        yield got == want, lambda: f"c_{mu} at 0: {got} != {want}"
     # two-row coefficients at the second root of unity
-    x2 = RhoSpec.root(2)
     for k in range(1, 9):
-        for m in range(0, k):
-            if k + m > 8:
-                continue
+        for m in range(0, min(k, 9 - k)):
             mu = (k, m) if m else (k,)
-            want = x2.field.from_fraction(Fraction((-1) ** m, 2))
+            want = _X2.field.from_fraction(Fraction((-1) ** m, 2))
             try:
-                got = c_coeff(mu, x2)
-                tally.check(got == want, lambda: f"c_{mu} at xi_2: {got}")
+                got = c_coeff(mu, _X2)
+                yield got == want, lambda: f"c_{mu} at xi_2: {got}"
             except SingularCoefficientError:
-                tally.check(False, f"c_{mu} at xi_2: undefined")
+                yield False, f"c_{mu} at xi_2: undefined"
     # claimed vanishing for long partitions: checked literally
-    for n in (2, 3):
-        rho = RhoSpec.root(n)
-        zero = rho.field.zero
+    for rho in (_X2, _X3):
+        n = rho.order
         for mu in _partitions_upto(8):
             if len(mu) < n + 1:
                 continue
             try:
                 got = c_coeff(mu, rho)
-                tally.check(got == zero,
-                            lambda: f"c_{mu} at xi_{n} = {got.to_text()} != 0")
+                yield (got == rho.field.zero,
+                       lambda: f"c_{mu} at xi_{n} = {got.to_text()} != 0")
             except SingularCoefficientError:
-                tally.check(False, f"c_{mu} at xi_{n}: undefined")
-    return _result(8, "coefficient spot checks", tally, t0)
+                yield False, f"c_{mu} at xi_{n}: undefined"
 
 
-def criterion_9() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    lams = _partitions_upto(8, 3) + list(_NON_PARTITIONS)
-    for m in range(1, 5):
-        for lam in lams:
-            v = verify_case(TheoremCase("TA.3", m=m, lam=lam))
-            tally.check(v.equal, lambda: f"TA.3 m={m} lam={lam}")
-            v = verify_case(TheoremCase("TA.4", m=m, lam=lam))
-            tally.check(v.equal, lambda: f"TA.4 m={m} lam={lam}")
-    for m in range(1, 7):
-        v = verify_case(TheoremCase("BaseA", m=m))
-        tally.check(v.equal, lambda: f"base identity m={m}")
-        v = verify_case(TheoremCase("RemarkA", m=m))
-        tally.check(v.equal, lambda: f"power-sum pair identity m={m}")
-    # border-strip rule against multiplication + straightening
+def _border_strips():
+    """The border-strip rule against multiplication plus straightening."""
     for r in range(1, 5):
         for lam in _partitions_upto(6):
             want = QCombination.from_terms(QQ, (
@@ -251,91 +188,83 @@ def criterion_9() -> CriterionResult:
             mp = multiply_p(r, QCombination.single(QQ, lam), RHO_ZERO)
             for label, c in mp.terms.items():
                 got = got + straighten(label, RHO_ZERO).scale(c)
-            tally.check(got == want, lambda: f"border strips r={r} lam={lam}")
-    # the two published normalizations of the Schur-side operator coincide
-    # for m >= 1: no multiplication-only quadratic terms may appear
+            yield got == want, lambda: f"border strips r={r} lam={lam}"
+
+
+def _schur_normalization():
+    """The two published normalizations of the Schur-side operator coincide
+    for m >= 1: no multiplication-only quadratic terms may appear."""
     for m in range(1, 5):
         op = build_operator(VirasoroSpec("LS", m))
         ok = all(all(kind == "der" for kind, _ in term.factors)
                  for term in op.finite)
         ok = ok and all(f.skip_multiples_of is None for f in op.families)
-        tally.check(ok, lambda: f"normalization mismatch at m={m}")
-    return _result(9, "Schur specialization suite", tally, t0)
+        yield ok, lambda: f"normalization mismatch at m={m}"
 
 
-def criterion_10() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    for n in (2, 3):
-        rho = RhoSpec.root(n)
+def _variable_independence():
+    for rho in (_X2, _X3):
+        n = rho.order
         for lam in _partitions_upto(8, 3):
             f = hl_q(lam, rho)
             bad = sorted({v for mono in f.terms for v, _ in mono if v % n == 0})
-            tally.check(not bad, lambda: f"n={n} lam={lam}: contains t{bad[0]}")
-    return _result(10, "root-of-unity variable independence", tally, t0)
+            yield not bad, lambda: f"n={n} lam={lam}: contains t{bad[0]}"
 
 
-def criterion_11() -> CriterionResult:
-    t0 = time.monotonic()
-    tally = _Tally()
-    x2, x3 = RhoSpec.root(2), RhoSpec.root(3)
-    r_range = range(-4, 7)
-    m_range = (-2, -1, 1, 2)
-
-    def run(case: TheoremCase, tag: str):
-        v = verify_case(case)
-        tally.check(v.equal, lambda: f"{tag}: {v.detail}")
-
-    for rho in (RHO_GENERIC, x2):
-        for i in range(-2, 3):
-            for j in r_range:
-                run(TheoremCase("Exchange", i=i, j=j, rho=rho, degree=6),
-                    f"exchange i={i} j={j} rho={rho.to_text()}")
-    for rho in (RHO_GENERIC, x2):
-        for r in range(1, 7):
-            for m in range(-2, 3):
-                run(TheoremCase("PrB", r=r, m=m, rho=rho, degree=6),
-                    f"p_r B_m r={r} m={m} rho={rho.to_text()}")
-                if rho.one_minus_rho_pow(r):
-                    run(TheoremCase("TrPerpB", r=r, m=m, rho=rho, degree=6),
-                        f"t_r-perp B_m r={r} m={m} rho={rho.to_text()}")
-    for n, rho in ((2, x2), (3, x3)):
-        for m in m_range:
-            for r in r_range:
-                run(TheoremCase("Prop33", n=n, m=m, r=r, degree=6),
-                    f"first-order commutator n={n} m={m} r={r}")
-        for m in (1, 2):
-            for r in r_range:
-                run(TheoremCase("CorLtilde", n=n, m=m, r=r, degree=6),
-                    f"half-pair commutator n={n} m={m} r={r}")
-    for rho in (RHO_GENERIC, RHO_ZERO, x2, x3):
-        for r in r_range:
-            run(TheoremCase("Lemma32", r=r, rho=rho, degree=6),
-                f"summed commutation r={r} rho={rho.to_text()}")
-    for m in m_range:
-        for r in r_range:
-            run(TheoremCase("LemmaA1", m=m, r=r, degree=6),
-                f"Schur first-order commutator m={m} r={r}")
-            run(TheoremCase("CorA2", m=m, r=r, degree=6),
-                f"Schur mode commutator m={m} r={r}")
-    for n in (2, 3):
-        for m in (1, 2):
-            for lam in ((), (1,), (2, 1)):
-                run(TheoremCase("VmQ", n=n, m=m, lam=lam),
-                    f"pair-sum action n={n} m={m} lam={lam}")
-    return _result(11, "operator-identity suite", tally, t0)
-
-
-CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-            criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-            criterion_11)
+CRITERIA = (
+    Criterion(1, "nonnegative-mode action sweep", (
+        Grid("T1.1", dict(n=(2, 3, 4), m=(0, 1, 2),
+                          lam=tuple(_int_vectors(3, -2, 4, 8)))),)),
+    Criterion(2, "negative-mode action sweep", (
+        Grid("T1.2", dict(n=(2, 3), m=(1, 2), lam=_LAMS6)), _anchor)),
+    Criterion(3, "first-order negative-mode action sweep", (
+        Grid("T3.3", dict(n=(2, 3), m=(1, 2), lam=_LAMS6)),)),
+    Criterion(4, "commutation relations", (
+        _central_constant,
+        Grid("Bracket", dict(n=(2, 3), i=range(-2, 3), j=range(-2, 3),
+                             degree=(8,))))),
+    Criterion(5, "power-sum multiplication rule", (
+        Grid("MultFormula", dict(rho=(RHO_GENERIC, RHO_ZERO, _X2, _X3),
+                                 r=range(1, 6), lam=_LAMS6),
+             lambda rho, r, lam: rho.kind == "root" and r % rho.order == 0),
+        _refusals_and_p_expansions)),
+    Criterion(6, "derivative rule", (
+        Grid("DerivFormula", dict(rho=(RHO_GENERIC, _X2, _X3),
+                                  r=range(1, 6), lam=_LAMS6)),)),
+    Criterion(7, "straightening soundness", (_straightening,)),
+    Criterion(8, "coefficient spot checks", (_coefficients,)),
+    Criterion(9, "Schur specialization suite", (
+        Grid("TA.3", dict(m=range(1, 5), lam=_LAMS8)),
+        Grid("TA.4", dict(m=range(1, 5), lam=_LAMS8)),
+        Grid("BaseA", dict(m=range(1, 7))),
+        Grid("RemarkA", dict(m=range(1, 7))),
+        _border_strips, _schur_normalization)),
+    Criterion(10, "root-of-unity variable independence",
+              (_variable_independence,)),
+    Criterion(11, "operator-identity suite", (
+        Grid("Exchange", dict(rho=(RHO_GENERIC, _X2), i=range(-2, 3),
+                              j=_R_RANGE, degree=(6,))),
+        Grid("PrB", dict(rho=(RHO_GENERIC, _X2), r=range(1, 7),
+                         m=range(-2, 3), degree=(6,))),
+        Grid("TrPerpB", dict(rho=(RHO_GENERIC, _X2), r=range(1, 7),
+                             m=range(-2, 3), degree=(6,)),
+             lambda rho, r, **_: not rho.one_minus_rho_pow(r)),
+        Grid("Prop33", dict(n=(2, 3), m=_M_RANGE, r=_R_RANGE, degree=(6,))),
+        Grid("CorLtilde", dict(n=(2, 3), m=(1, 2), r=_R_RANGE, degree=(6,))),
+        Grid("Lemma32", dict(rho=(RHO_GENERIC, RHO_ZERO, _X2, _X3),
+                             r=_R_RANGE, degree=(6,))),
+        Grid("LemmaA1", dict(m=_M_RANGE, r=_R_RANGE, degree=(6,))),
+        Grid("CorA2", dict(m=_M_RANGE, r=_R_RANGE, degree=(6,))),
+        Grid("VmQ", dict(n=(2, 3), m=(1, 2), lam=((), (1,), (2, 1)))))),
+)
 
 
 def run_desk(echo=None) -> list[CriterionResult]:
-    """Run criteria 1..11; optionally print each line as it completes."""
+    """Run every row of ``CRITERIA``; optionally print each line as it
+    completes."""
     results = []
-    for fn in CRITERIA:
-        res = fn()
+    for row in CRITERIA:
+        res = run_criterion(row)
         results.append(res)
         if echo is not None:
             echo(res.line())

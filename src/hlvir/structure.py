@@ -87,17 +87,35 @@ def straighten(label: Iterable[int], rho: RhoSpec) -> QCombination:
 
 
 def _straighten_cached(label: Label, rho: RhoSpec) -> QCombination:
-    key = (rho.key, label)
-    hit = _STRAIGHTEN_CACHE.get(key)
+    """Run the rewriting on an explicit stack of suspended steps, so a long
+    label cannot hit the recursion limit: a step yields each label it
+    rewrites into and is sent its straightened form."""
+    rho_key = rho.key
+    hit = _STRAIGHTEN_CACHE.get((rho_key, label))
     if hit is not None:
         return hit
-    return _cache_put(_STRAIGHTEN_CACHE, key, _straighten_step(label, rho))
+    stack = [(label, _straighten_step(label, rho))]
+    value = None
+    while True:
+        top, step = stack[-1]
+        try:
+            sub = step.send(value)
+        except StopIteration as finished:
+            value = _cache_put(_STRAIGHTEN_CACHE, (rho_key, top), finished.value)
+            stack.pop()
+            if not stack:
+                return value
+            continue
+        value = _STRAIGHTEN_CACHE.get((rho_key, sub))
+        if value is None:
+            stack.append((sub, _straighten_step(sub, rho)))
 
 
 _STRAIGHTEN_CACHE = _new_cache()
 
 
-def _straighten_step(label: Label, rho: RhoSpec) -> QCombination:
+def _straighten_step(label: Label, rho: RhoSpec):
+    """One rewriting step, as a generator (see ``_straighten_cached``)."""
     field = rho.field
     tail = 0
     for x in reversed(label):
@@ -105,15 +123,15 @@ def _straighten_step(label: Label, rho: RhoSpec) -> QCombination:
         if tail < 0:
             return QCombination.zero(field)
     if label and label[-1] == 0:
-        return _straighten_cached(label[:-1], rho)
+        return (yield label[:-1])
     for pos in range(len(label) - 1):
         a, b = label[pos], label[pos + 1]
         if a < b:
-            return _exchange(label, pos, rho)
+            return (yield from _exchange(label, pos, rho))
     return QCombination.single(field, label)
 
 
-def _exchange(label: Label, pos: int, rho: RhoSpec) -> QCombination:
+def _exchange(label: Label, pos: int, rho: RhoSpec):
     """Resolve the ascent label[pos] = a < b = label[pos+1]."""
     a, b = label[pos], label[pos + 1]
     r = b - a
@@ -126,18 +144,18 @@ def _exchange(label: Label, pos: int, rho: RhoSpec) -> QCombination:
         return out
 
     rho1 = rho.rho_pow(1)
-    out = _straighten_cached(rewrite(b, a), rho).scale(rho1)
+    out = (yield rewrite(b, a)).scale(rho1)
     quad = rho.one_minus_rho_pow(2)  # 1 - rho^2
     if quad:
         bound = (r - 1) // 2 if r % 2 else r // 2 - 1
         for i in range(1, bound + 1):
             c = -quad * rho.rho_pow(i - 1)  # (rho^2 - 1) rho^{i-1}
-            out = out + _straighten_cached(rewrite(b - i, a + i), rho).scale(c)
+            out = out + (yield rewrite(b - i, a + i)).scale(c)
     if r % 2 == 0:
         half = r // 2
         c = rho.rho_pow(half - 1) * (rho1 - field.one)  # rho^{r/2-1}(rho - 1)
         if c:
-            out = out + _straighten_cached(rewrite(b - half, a + half), rho).scale(c)
+            out = out + (yield rewrite(b - half, a + half)).scale(c)
     return out
 
 

@@ -4,6 +4,7 @@ and the deformed power-sum inner product."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -409,7 +410,7 @@ def _mono_z_factor(m: Mono, rho: RhoSpec):
     field = rho.field
     num = Fraction(1)
     for v, e in m:
-        num *= Fraction(v) ** e * Fraction(_factorial(e))
+        num *= Fraction(v) ** e * Fraction(math.factorial(e))
         num /= Fraction(v) ** (2 * e)
     val = field.from_fraction(num)
     for v, e in m:
@@ -420,13 +421,6 @@ def _mono_z_factor(m: Mono, rho: RhoSpec):
         for _ in range(e):
             val = val / d
     return val
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def inner_product(f: TPoly, g: TPoly, rho: RhoSpec):

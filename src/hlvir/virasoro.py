@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .exactnum import QQ, RHO_ZERO, RhoSpec
-from .structure import c_coeff, multiply_p, partitions
+from .structure import c_coeff, multiplicities, multiply_p, partitions
 from .tring import (FamilyRule, LinOperator, OpTerm, TPoly, apply,
                     commutator_apply, mono_from_exponents)
 from .vertex import Label, QCombination, apply_B, hl_q, perp_t
@@ -323,10 +323,7 @@ def monomial_basis(field, max_degree: int) -> list[TPoly]:
     out = []
     for d in range(max_degree + 1):
         for mu in partitions(d):
-            counts: dict[int, int] = {}
-            for x in mu:
-                counts[x] = counts.get(x, 0) + 1
-            mono = mono_from_exponents(counts.items())
+            mono = mono_from_exponents(multiplicities(mu).items())
             out.append(TPoly(field, {mono: field.one}))
     return out
 

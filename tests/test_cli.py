@@ -5,10 +5,11 @@ import json
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from hlvir import cli, structure
+from hlvir import cli, selftest, structure
 from hlvir.exactnum import QQ, RhoSpec
 from hlvir.tring import TPoly
 from hlvir.vertex import clear_caches, hl_q, set_cache_enabled
@@ -62,6 +63,16 @@ def test_q_long_weight_zero_label(capsys):
     finally:
         clear_caches()
     assert code == 0 and out == "1\n"
+
+
+def test_straighten_long_weight_zero_label(capsys):
+    lam = ",".join(["-1,1"] * 200)
+    try:
+        code, out, _ = run_cli(capsys, "straighten", "--rho", "0",
+                               f"--lambda={lam}")
+    finally:
+        clear_caches()
+    assert code == 0 and out == "1*Q[]\n"
 
 
 def test_coeff_output(capsys):
@@ -262,6 +273,46 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "2*t1^2\n"
+
+
+def test_selftest_keeps_five_failures_and_reports_json(capsys, monkeypatch):
+    def seven_failures():
+        yield False, lambda: "case 0"
+        for k in range(1, 7):
+            yield False, f"case {k}"
+
+    monkeypatch.setattr(selftest, "CRITERIA", (
+        selftest.Criterion(1, "passes", (
+            selftest.Grid("BaseA", {"m": (1, 2)}),)),
+        selftest.Criterion(2, "fails", (seven_failures,))))
+    code, out, _ = run_cli(capsys, "selftest", "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and report["failed"] == 1
+    passes, fails = report["criteria"]
+    assert set(passes) == {"number", "name", "passed", "cases", "seconds",
+                           "failures"}
+    assert (passes["number"], passes["name"], passes["passed"],
+            passes["cases"], passes["failures"]) == (1, "passes", True, 2, [])
+    assert (fails["passed"], fails["cases"]) == (False, 7)
+    assert fails["failures"] == [f"case {k}" for k in range(5)] + ["..."]
+
+    code, out, _ = run_cli(capsys, "selftest")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[1].startswith("[ 2] FAIL  fails  cases=7  t=")
+    assert lines[1].endswith("s  first: case 0")
+    assert lines[2].startswith("desk suite: 2 criteria, 1 failed, ")
+
+
+def test_grid_failure_names_the_cell(monkeypatch):
+    monkeypatch.setattr(selftest, "verify_case", lambda case: SimpleNamespace(
+        equal=case.r != 1, detail="first failure on 1"))
+    row = selftest.Criterion(1, "grid", (selftest.Grid(
+        "PrB", {"rho": (RhoSpec.root(2),), "r": (1, 2, 3), "m": (0,)},
+        lambda rho, r, m: r == 3),))
+    result = selftest.run_criterion(row)
+    assert (result.passed, result.cases) == (False, 2)
+    assert result.failures == ["PrB rho=xi:2 r=1 m=0 first failure on 1"]
 
 
 def test_operator_spec_parse_errors(capsys):

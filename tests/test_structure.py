@@ -16,7 +16,7 @@ from hlvir.structure import (SingularCoefficientError, c_coeff,
                              partitions, q_basis_expand, straighten,
                              strip_zeros)
 from hlvir.tring import TPoly
-from hlvir.vertex import QCombination, hl_q
+from hlvir.vertex import QCombination, clear_caches, hl_q
 
 small_labels = st.lists(st.integers(min_value=-2, max_value=3),
                         max_size=3).map(tuple)
@@ -73,6 +73,16 @@ def test_straighten_kills_negative_tails():
 def test_straighten_evaluates_to_the_same_polynomial(lam):
     for rho in (RHO_ZERO, RhoSpec.root(2)):
         assert straighten(lam, rho).evaluate(rho) == hl_q(lam, rho)
+
+
+def test_straighten_long_label_needs_no_recursion():
+    lam = (-1, 1) * 500
+    try:
+        out = straighten(lam, RHO_ZERO)
+        assert out.to_text() == "1*Q[]"
+        assert out.evaluate(RHO_ZERO) == hl_q(lam, RHO_ZERO)
+    finally:
+        clear_caches()
 
 
 def test_straighten_output_is_over_positive_partitions():
