@@ -10,6 +10,12 @@ Three coefficient fields, all exact (no floating point anywhere):
 plus the specialization maps that send a rational function to its exact value
 (a limit, when the naive substitution is 0/0) at rho = xi_n or at a rational
 point.  ``RhoSpec`` bundles the choice of specialization with its field.
+
+A rho-polynomial (``UniPoly``, and so both halves of a ``RatFunc``) is one
+packed Python int over an integer denominator, the Kronecker substitution
+rho -> 2^B; its arithmetic is big-int arithmetic, and its coefficient vector
+is unpacked only where text, a hash, division or a specialization needs it
+(see ``UniPoly``).  This module alone knows that format.
 """
 
 from __future__ import annotations
@@ -50,44 +56,116 @@ def signed_join(terms: Iterable[tuple[bool, str]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q
+# univariate polynomials over Q, packed
+
+
+def _width(bound: int) -> int:
+    """The packing width for an integer polynomial whose coefficients'
+    absolute values sum to at most ``bound``: the least multiple of 64 above
+    bound's bit length, so that every coefficient is below 2^(B-1)."""
+    return (bound.bit_length() // 64 + 1) * 64
+
+
+def _reduce(cs: list[int], den: int) -> tuple[list[int], int]:
+    """cs / den with the common content of cs and den removed."""
+    if den != 1:
+        g = gcd(den, *cs)
+        if g != 1:
+            return [c // g for c in cs], den // g
+    return cs, den
+
+
+def _pack(cs, width: int) -> int:
+    """sum cs[i] * 2^(i*width); each |cs[i]| < 2^(width-1)."""
+    p = 0
+    for c in reversed(cs):
+        p = (p << width) + c
+    return p
+
+
+def _unpack(p: int, width: int) -> list[int]:
+    """The signed base-2^width digits of p, lowest first: the inverse of
+    ``_pack``.  Adding 2^(width-1) to every digit makes them all
+    nonnegative, so they can be cut out of the bytes of one int."""
+    if not p:
+        return []
+    n = p.bit_length() // width + 1  # a nonzero top digit sets the length
+    k = width // 8
+    half = 1 << (width - 1)
+    u = p + int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+    raw = u.to_bytes(n * k, "little")
+    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q, indexed by power.
+    """Dense univariate polynomial over Q, packed by the Kronecker
+    substitution rho -> 2^B (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, 8.4).
 
-    Internally an integer coefficient vector with one common positive
-    denominator, content-reduced; the public face is Fraction coefficients.
-    Immutable and hashable.
+    The value is P(rho) / ``_den`` for an integer polynomial P stored as the
+    one int ``_p = P(2^B)`` with signed digits, a positive integer ``_den``,
+    the width ``_B`` (a multiple of 64) and ``_N``, an upper bound on the sum
+    of P's |coefficients|.  ``_N < 2^(B-1)`` holds for every value, so each
+    coefficient is one digit and the packing is injective: zero is
+    ``_p == 0``, and two values of one width and one denominator are equal
+    exactly when their ints are.
+
+    A product or a rational scale is one big-int multiply and a sum one
+    big-int add (after one rescale when the denominators differ); the
+    content gcd(den, P) is left unreduced.  A kernel whose operands differ in
+    width, or whose result's bound would reach 2^(B-1), first rewrites both
+    operands in place: content reduced, bound made exact, and one common
+    width wide enough for the result.  That changes the representation, never
+    the value.  The coefficient vector is unpacked, with its content reduced,
+    only where it is read: text, ``coefficient``, ``hash``, ``evaluate``,
+    division (``divmod``, ``gcd``, ``xgcd``, ``monic``) and the callers that
+    hand it to ``Cyclotomic``.  Immutable and hashable.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_p", "_den", "_B", "_N")
 
-    def __init__(self, num: tuple[int, ...], den: int):
-        # assumes normalized input; use the constructors below
-        self._num = num
+    def __init__(self, p: int, den: int, width: int, bound: int):
+        # assumes bound >= sum |digits of p| and bound < 2^(width - 1), den > 0;
+        # use the constructors below
+        self._p = p
         self._den = den
+        self._B = width
+        self._N = bound
 
     @staticmethod
-    def _make(num: list[int], den: int) -> "UniPoly":
+    def _from_vec(cs: list[int], den: int) -> "UniPoly":
+        """cs / den for an integer coefficient vector (lowest power first)."""
         if den == 0:
             raise ZeroDivisionError("polynomial with zero denominator")
-        while num and num[-1] == 0:
-            num.pop()
-        if not num:
+        if den < 0:
+            cs, den = [-c for c in cs], -den
+        if not any(cs):
             return _UP_ZERO
-        if den != 1:
-            g = gcd(den, *num)
-            if den < 0:
-                g = -g
-            if g != 1:
-                num = [c // g for c in num]
-                den //= g
-        return UniPoly(tuple(num), den)
+        cs, den = _reduce(cs, den)
+        bound = sum(map(abs, cs))
+        width = _width(bound)
+        return UniPoly(_pack(cs, width), den, width, bound)
+
+    def _reduced(self) -> tuple[list[int], int]:
+        """The coefficient vector (no trailing zeros) and denominator with
+        their common content removed: the canonical form."""
+        return _reduce(_unpack(self._p, self._B), self._den)
+
+    def _tighten(self) -> None:
+        """Reduce the content and make the bound exact, in place."""
+        cs, self._den = self._reduced()
+        self._N = sum(map(abs, cs))
+        self._p = _pack(cs, self._B)
+
+    def _widen(self, width: int) -> None:
+        """Repack in place at a width no smaller than the current one."""
+        if width != self._B:
+            self._p = _pack(_unpack(self._p, self._B), width)
+            self._B = width
 
     @staticmethod
     def from_ints(coeffs, den: int = 1) -> "UniPoly":
-        return UniPoly._make(list(coeffs), den)
+        return UniPoly._from_vec(list(coeffs), den)
 
     @staticmethod
     def from_fractions(coeffs) -> "UniPoly":
@@ -95,58 +173,62 @@ class UniPoly:
         den = 1
         for c in coeffs:
             den = den * c.denominator // gcd(den, c.denominator)
-        return UniPoly._make([int(c * den) for c in coeffs], den)
+        return UniPoly._from_vec([int(c * den) for c in coeffs], den)
 
     @staticmethod
     def constant(c: Union[int, Fraction]) -> "UniPoly":
-        c = _fr(c)
-        return UniPoly._make([c.numerator], c.denominator)
+        return UniPoly.x_pow(0, c)
 
     @staticmethod
     def x_pow(e: int, c: Union[int, Fraction] = 1) -> "UniPoly":
         c = _fr(c)
-        return UniPoly._make([0] * e + [c.numerator], c.denominator)
+        if not c:
+            return _UP_ZERO
+        bound = abs(c.numerator)
+        width = _width(bound)
+        return UniPoly(c.numerator << (e * width), c.denominator, width, bound)
 
     # -- queries
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not self._p
 
     def __bool__(self) -> bool:
-        return bool(self._num)
+        return self._p != 0
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self._num) - 1
+        return self._p.bit_length() // self._B if self._p else -1
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self._num):
-            return Fraction(self._num[i], self._den)
+        cs, den = self._reduced()
+        if 0 <= i < len(cs):
+            return Fraction(cs[i], den)
         return Fraction(0)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._num)
+        cs, den = self._reduced()
+        return tuple(Fraction(c, den) for c in cs)
 
     def leading(self) -> Fraction:
-        if not self._num:
-            return Fraction(0)
-        return Fraction(self._num[-1], self._den)
+        return self.coefficient(self.degree)
 
     def is_constant(self) -> bool:
-        return len(self._num) <= 1
+        return self._p.bit_length() < self._B
 
     def evaluate(self, x: Union[int, Fraction]) -> Fraction:
         # integer Horner on sum c_i p^i q^(d-i), for x = p/q
-        if not self._num:
+        cs, den = self._reduced()
+        if not cs:
             return Fraction(0)
         p, q = x.numerator, x.denominator
         acc, qk = 0, 1
-        for c in reversed(self._num):
+        for c in reversed(cs):
             acc = acc * p + c * qk
             qk *= q
-        return Fraction(acc, self._den * qk // q)
+        return Fraction(acc, den * qk // q)
 
     # -- arithmetic
 
@@ -159,7 +241,7 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(tuple(-c for c in self._num), self._den)
+        return UniPoly(-self._p, self._den, self._B, self._N)
 
     def __sub__(self, other):
         other = _as_unipoly(other)
@@ -183,23 +265,23 @@ class UniPoly:
 
     def __divmod__(self, other: "UniPoly"):
         """Quotient and remainder over Q, by fraction-free pseudo-division
-        of the integer vectors (von zur Gathen & Gerhard, *Modern Computer
-        Algebra*): the divisor's lead is scaled into the remainder only at a
-        step whose top coefficient it does not divide."""
+        of the unpacked integer vectors (von zur Gathen & Gerhard, *Modern
+        Computer Algebra*): the divisor's lead is scaled into the remainder
+        only at a step whose top coefficient it does not divide."""
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        div = other._num
+        div, div_den = other._reduced()
         if not div:
             raise ZeroDivisionError("polynomial division by zero")
         dd = len(div) - 1
         lead = div[-1]
-        rem = list(self._num)
+        rem, own_den = self._reduced()
         nq = len(rem) - dd
         if nq <= 0:
             return _UP_ZERO, self
         q = [0] * nq
-        scale = 1  # scale * self._num == div * q + rem throughout
+        scale = 1  # scale * own numerator == div * q + rem throughout
         for k in range(nq - 1, -1, -1):
             r = rem.pop()
             if r:
@@ -212,9 +294,9 @@ class UniPoly:
                     c = r * g // lead
                 q[k] = c
                 rem[k:] = [x - c * y for x, y in zip(rem[k:], div)]
-        den = scale * self._den
-        return (UniPoly._make([x * other._den for x in q], den),
-                UniPoly._make(rem, den))
+        den = scale * own_den
+        return (UniPoly._from_vec([x * div_den for x in q], den),
+                UniPoly._from_vec(rem, den))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -228,7 +310,8 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return UniPoly._make(list(self._num), self._num[-1])
+        cs, _ = self._reduced()
+        return UniPoly._from_vec(cs, cs[-1])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         a, b = self, other
@@ -248,8 +331,8 @@ class UniPoly:
             t0, t1 = t1, t0 - q * t1
         if r0.is_zero():
             return r0, s0, t0
-        n, d = r0._den, r0._num[-1]  # 1 / lead
-        return r0.monic(), _up_scale(s0, n, d), _up_scale(t0, n, d)
+        cs, den = r0._reduced()  # 1 / lead == den / cs[-1]
+        return r0.monic(), _up_scale(s0, den, cs[-1]), _up_scale(t0, den, cs[-1])
 
     def __pow__(self, e: int):
         if e < 0:
@@ -270,10 +353,18 @@ class UniPoly:
             other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        width = self._B
+        if other._B == width:
+            da, db = self._den, other._den
+            if da == db:  # the difference's digits stay below 2^width
+                return self._p == other._p
+            if (self._N * db + other._N * da).bit_length() <= width:
+                return self._p * db == other._p * da
+        return self._reduced() == other._reduced()
 
     def __hash__(self):
-        return hash((self._num, self._den))
+        cs, den = self._reduced()
+        return hash((tuple(cs), den))
 
     def __repr__(self):
         return f"UniPoly({self.to_text()})"
@@ -281,18 +372,18 @@ class UniPoly:
     # -- text (descending powers, canonical)
 
     def to_text(self, symbol: str = RHO_SYMBOL) -> str:
+        cs, den = self._reduced()
         terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coefficient(i)
-            if c == 0:
+        for i in range(len(cs) - 1, -1, -1):
+            if not cs[i]:
                 continue
-            mag = abs(c)
+            mag = Fraction(abs(cs[i]), den)
             if i == 0:
                 body = str(mag)
             else:
                 xs = symbol if i == 1 else f"{symbol}^{i}"
                 body = xs if mag == 1 else f"{mag}*{xs}"
-            terms.append((c < 0, body))
+            terms.append((cs[i] < 0, body))
         return signed_join(terms)
 
     @staticmethod
@@ -305,47 +396,76 @@ class UniPoly:
         return acc
 
 
+# The packed kernels.  Each takes its fast path when both operands have one
+# width and the result's bound fits it; otherwise ``_refit`` rewrites the
+# operands in place and the kernel runs again, now on the fast path.
+
+
+def _refit(a: UniPoly, b: UniPoly, bound) -> None:
+    """Bring a and b to one width that holds ``bound()``, the result's bound
+    from their current bounds and denominators; tighten both first when the
+    wider of their widths does not."""
+    width = max(a._B, b._B)
+    if bound().bit_length() >= width:
+        a._tighten()
+        b._tighten()
+        width = max(width, _width(bound()))
+    a._widen(width)
+    b._widen(width)
+
+
 def _up_add(a: UniPoly, b: UniPoly, sign: int) -> UniPoly:
-    """a + sign * b on the integer vectors."""
-    an, bn = a._num, b._num
-    if a._den == b._den:
-        den = a._den
-    else:
+    """a + sign * b."""
+    width = a._B
+    if b._B == width:
+        da, db = a._den, b._den
+        if da == db:
+            bound = a._N + b._N
+            if bound.bit_length() < width:
+                p = a._p + b._p if sign > 0 else a._p - b._p
+                return UniPoly(p, da, width, bound) if p else _UP_ZERO
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            bound = a._N * fa + b._N * fb
+            if bound.bit_length() < width:
+                p = a._p * fa + b._p * fb if sign > 0 else a._p * fa - b._p * fb
+                return UniPoly(p, den, width, bound) if p else _UP_ZERO
+    if not b._p:
+        return a
+    if not a._p:
+        return b if sign > 0 else UniPoly(-b._p, b._den, b._B, b._N)
+
+    def bound():
         den = lcm(a._den, b._den)
-        fa, fb = den // a._den, den // b._den
-        an = [x * fa for x in an]
-        bn = [y * fb for y in bn]
-    if sign < 0:
-        bn = [-y for y in bn]
-    if len(an) < len(bn):
-        an, bn = bn, an
-    n = [x + y for x, y in zip(an, bn)]
-    n.extend(an[len(bn):])
-    return UniPoly._make(n, den)
+        return a._N * (den // a._den) + b._N * (den // b._den)
+    _refit(a, b, bound)
+    return _up_add(a, b, sign)
 
 
 def _up_mul(a: UniPoly, b: UniPoly) -> UniPoly:
-    """a * b on the integer vectors; a constant factor scales the other."""
-    an, bn = a._num, b._num
-    if not an or not bn:
+    """a * b."""
+    width = a._B
+    if b._B == width:
+        bound = a._N * b._N
+        if bound.bit_length() < width:
+            return UniPoly(a._p * b._p, a._den * b._den, width, bound)
+    if not a._p or not b._p:
         return _UP_ZERO
-    if len(an) > len(bn):
-        an, bn = bn, an
-    if len(an) == 1:
-        c = an[0]
-        out = [c * y for y in bn]
-    else:
-        out = [0] * (len(an) + len(bn) - 1)
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn):
-                    out[i + j] += x * y
-    return UniPoly._make(out, a._den * b._den)
+    _refit(a, b, lambda: a._N * b._N)
+    return _up_mul(a, b)
 
 
 def _up_scale(a: UniPoly, n: int, d: int) -> UniPoly:
     """a * (n / d) for integers n, d != 0."""
-    return UniPoly._make([c * n for c in a._num], a._den * d)
+    if d < 0:
+        n, d = -n, -d
+    bound = a._N * abs(n)
+    if bound.bit_length() < a._B:
+        return UniPoly(a._p * n, a._den * d, a._B, bound)
+    a._tighten()
+    a._widen(max(a._B, _width(a._N * abs(n))))
+    return _up_scale(a, n, d)
 
 
 def _as_unipoly(x):
@@ -358,9 +478,9 @@ def _as_unipoly(x):
     return NotImplemented
 
 
-_UP_ZERO = UniPoly((), 1)
-_UP_ONE = UniPoly((1,), 1)
-UNIPOLY_X = UniPoly((0, 1), 1)
+_UP_ZERO = UniPoly(0, 1, 64, 0)
+_UP_ONE = UniPoly(1, 1, 64, 1)
+UNIPOLY_X = UniPoly(1 << 64, 1, 64, 1)
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
@@ -445,7 +565,7 @@ def _cyclo_tables(n: int):
     phi = euler_phi(n)
     Phi = cyclotomic_poly(n)
     # Phi is monic with integer coefficients, so every row is integral
-    base = [-c for c in Phi._num[:phi]]  # z^phi = -(Phi - z^phi)
+    base = [-c for c in Phi._reduced()[0][:phi]]  # z^phi = -(Phi - z^phi)
     rows = []
     row = base
     for _ in range(max(phi - 1, n - phi)):
@@ -612,12 +732,12 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         phi, Phi, _ = _cyclo_tables(self.order)
-        a = UniPoly._make(list(self.num), self.den)
+        a = UniPoly.from_ints(self.num, self.den)
         g, s, _ = a.xgcd(Phi)
         if g.degree != 0:
             raise ZeroDivisionError("element not invertible (unexpected)")
         rem = s % Phi  # g is monic, so g == 1
-        return Cyclotomic._from_ints(self.order, list(rem._num), rem._den)
+        return Cyclotomic._from_ints(self.order, *rem._reduced())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -693,8 +813,10 @@ class RatFunc:
     """A rational function num/den over Q, gcd-reduced with monic denominator.
 
     Invariant: ``den`` is the shared ``_UP_ONE`` object if and only if the
-    value is a polynomial, so ``den is _UP_ONE`` is the polynomial test and
-    sums and products of polynomials stay in the UniPoly integer kernels.
+    value is a polynomial, so ``den is _UP_ONE`` is the polynomial test, and
+    a sum, product or rational scale of polynomials is one call of a packed
+    UniPoly kernel.  Only ``make`` with a nonconstant denominator (a gcd),
+    text and the specializations unpack coefficients.
     """
 
     __slots__ = ("num", "den")
@@ -715,9 +837,9 @@ class RatFunc:
             if g.degree > 0:
                 num = num.divexact(g)
                 den = den.divexact(g)
-        lead = den._num[-1]  # den's leading coefficient is lead / den._den
-        if lead != den._den:
-            num = _up_scale(num, den._den, lead)
+        cs, lead_den = den._reduced()  # den's leading coefficient is cs[-1] / lead_den
+        if cs[-1] != lead_den:
+            num = _up_scale(num, lead_den, cs[-1])
             den = den.monic()
         return RatFunc(num, _UP_ONE if den.degree == 0 else den)
 
@@ -733,7 +855,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return self.num._p != 0
 
     def is_constant(self) -> bool:
         return self.den is _UP_ONE and self.num.is_constant()
@@ -791,10 +913,10 @@ class RatFunc:
         if type(o) is not RatFunc:
             if isinstance(o, (int, Fraction)):
                 # a nonzero rational factor keeps num/den reduced, den monic
-                if not o:
+                n = o.numerator
+                if not n:
                     return RatFunc(_UP_ZERO, _UP_ONE)
-                return RatFunc(_up_scale(self.num, o.numerator, o.denominator),
-                               self.den)
+                return RatFunc(_up_scale(self.num, n, o.denominator), self.den)
             o = self._coerce(o)
             if o is None:
                 return NotImplemented
@@ -884,8 +1006,8 @@ def specialize_at_root(f: Union[RatFunc, UniPoly], n: int) -> Cyclotomic:
                 num, den = nq, dq  # common factor Phi_n: cancel and retry
                 continue
             raise PoleError(f"pole at xi_{n}")
-        a = Cyclotomic._from_ints(n, list(nr._num), nr._den)
-        b = Cyclotomic._from_ints(n, list(dr._num), dr._den)
+        a = Cyclotomic._from_ints(n, *nr._reduced())
+        b = Cyclotomic._from_ints(n, *dr._reduced())
         return a / b
 
 
@@ -1061,7 +1183,10 @@ class RhoSpec:
             return RhoSpec.generic()
         if text.startswith("xi:"):
             return RhoSpec.root(int(text[3:]))
-        return RhoSpec.rational(Fraction(text))
+        try:
+            return RhoSpec.rational(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"rho {text!r} has a zero denominator") from None
 
     @property
     def field(self):

@@ -5,11 +5,10 @@ specialization at rho = 0."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .exactnum import (GENERIC, PoleError, RatFunc, RhoSpec, UniPoly)
+from .exactnum import PoleError, RatFunc, RhoSpec, UniPoly
 from .tring import TPoly, mono_degree
 from .vertex import Label, QCombination, _cache_put, _new_cache
 

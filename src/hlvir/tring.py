@@ -5,9 +5,9 @@ and the deformed power-sum inner product."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .exactnum import FieldMismatchError, RhoSpec, signed_join
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .exactnum import FieldMismatchError, RhoSpec
 from .tring import (DegeneratePairingError, Mono, Sparse, TPoly, _embed,

@@ -1,6 +1,8 @@
 """Command-line interface: frozen output strings, exit codes, JSON schema,
 and determinism."""
 
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlvir import cli, selftest, structure
 from hlvir.exactnum import QQ, RhoSpec
@@ -185,6 +189,12 @@ def test_root_order_cap(capsys):
     assert code == 0
 
 
+def test_zero_denominator_rho_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "q", "--rho", "1/0", "--lambda", "1")
+    assert code == 2 and out == ""
+    assert err == "error: rho '1/0' has a zero denominator\n"
+
+
 def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as exc:
         cli.main(["q", "--rho", "0"])  # missing --lambda
@@ -328,3 +338,70 @@ def test_repeated_operator_key_is_exit_2(capsys):
     code, out, err = run_cli(capsys, "apply", "--op", "L:n=2,m=-1,n=3",
                              "--rho", "xi:2", "--lambda", "1")
     assert code == 2 and out == "" and "repeated parameter 'n'" in err
+
+
+# -- fuzzing the whole command line in-process
+#
+# Mostly well-formed values, so that most calls get past parsing, plus junk.
+
+_FUZZ_RHOS = st.sampled_from(
+    3 * (["generic", "0", "2", "-1", "1/2", "-2/3"] + [f"xi:{n}" for n in range(1, 9)])
+    + ["", "pi", "xi:", "xi:x", "xi:-3", "1/0", "generic2"])
+_FUZZ_LABELS = st.one_of(
+    st.lists(st.integers(-3, 4), max_size=3).map(lambda parts: ",".join(map(str, parts))),
+    st.sampled_from(["a", "1,,2", "1.5", " , "]))
+_FUZZ_INTS = st.sampled_from(3 * [str(k) for k in range(-3, 5)] + ["x", ""])
+_FUZZ_OPS = st.one_of(
+    st.builds("{}:n={},m={}".format, st.sampled_from(["L", "Lhat", "Ltilde", "W", "V"]),
+              st.integers(-1, 3), st.integers(-3, 3)),
+    st.builds("{}:m={}".format, st.sampled_from(["LS", "WS"]), st.integers(-3, 3)),
+    st.sampled_from(["", "L", "Q:m=1", "L:m=1,m=2", "W:n=2"]))
+_FUZZ_VALUES = {"rho": _FUZZ_RHOS, "lambda": _FUZZ_LABELS, "n": _FUZZ_INTS,
+                "m": _FUZZ_INTS, "i": _FUZZ_INTS, "j": _FUZZ_INTS, "r": _FUZZ_INTS,
+                "degree": st.integers(-1, 2).map(str)}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(
+        ["q", "straighten", "coeff", "mulp", "apply", "verify", "selftest"]))
+    rho = [f"--rho={draw(_FUZZ_RHOS)}"]
+    label = [f"--lambda={draw(_FUZZ_LABELS)}"]
+    if command in ("q", "straighten"):
+        argv = rho + label
+    elif command == "coeff":
+        argv = rho + [f"--mu={draw(_FUZZ_LABELS)}"]
+    elif command == "mulp":
+        argv = rho + label + [f"--r={draw(_FUZZ_INTS)}"]
+    elif command == "apply":
+        argv = [f"--op={draw(_FUZZ_OPS)}"] + rho + label
+    elif command == "verify":
+        row = draw(st.sampled_from(IDENTITIES))
+        wanted = {"lambda" if f == "lam" else f for f in row.fields}
+        if row.sweep:
+            wanted.add("degree")
+        argv = [f"--case={draw(st.sampled_from([row.name] * 9 + ['nope']))}"]
+        for name, values in _FUZZ_VALUES.items():
+            # a field the case reads is usually given, any other seldom
+            if (draw(st.integers(0, 9)) < 9) == (name in wanted):
+                argv.append(f"--{name}={draw(values)}")
+    else:  # a valid selftest runs the whole desk, so only its refusals here
+        argv = draw(st.sampled_from([["--suite=frontier"], ["--bogus"], ["--format=xml"]]))
+    argv += draw(st.sampled_from([[], ["--format=json"], ["--no-cache"]]))
+    return [command] + draw(st.permutations(argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_argv())
+def test_cli_fuzz_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    finally:
+        set_cache_enabled(True)
+    assert code in range(6), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

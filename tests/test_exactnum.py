@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlvir.exactnum import (_UP_ONE, GENERIC, QQ, Cyclotomic, PoleError,
-                            RatFunc, RhoSpec, UniPoly, cyclotomic_field,
-                            cyclotomic_poly, euler_phi,
+                            RatFunc, RhoSpec, UniPoly, _pack, _unpack, _width,
+                            cyclotomic_field, cyclotomic_poly, euler_phi,
                             specialize_at_rational, specialize_at_root)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -82,6 +82,107 @@ def test_unipoly_gcd_divides_both(a, b):
 @given(unipolys)
 def test_unipoly_text_round_trip(p):
     assert UniPoly.parse(p.to_text()) == p
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_cyclotomic_poly_matches_sympy(n):
+    want = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X).all_coeffs()
+    assert cyclotomic_poly(n) == UniPoly.from_ints(int(c) for c in reversed(want))
+
+
+# -- packed kernels against a reference on coefficient lists
+#
+# A UniPoly is one int P(2^B) over a denominator, with a bound N on P's
+# coefficients.  The operands below are packed directly, at widths above the
+# least one, with unreduced content and with bounds from exact up to the
+# largest a width allows, so that their sums and products cross the repack
+# threshold; the reference works on Fraction lists and shares no code with
+# the kernels.
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b, sign):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _assert_packed(v):
+    """The stored form satisfies the packing invariant."""
+    assert v._den > 0 and v._B % 64 == 0
+    assert v._N < 2 ** (v._B - 1)
+    digits = _unpack(v._p, v._B)
+    assert sum(map(abs, digits)) <= v._N
+    assert _pack(digits, v._B) == v._p
+
+
+big_coeffs = (st.integers(-9, 9) | st.integers(-2 ** 66, 2 ** 66)
+              | st.sampled_from([2 ** 62, 1 - 2 ** 62, 2 ** 63 - 1, -2 ** 63]))
+
+
+def _packed(draw, cs, den):
+    """cs / den packed with drawn content, width and bound."""
+    k = draw(st.integers(1, 6))
+    cs = [c * k for c in cs]
+    exact = sum(map(abs, cs))
+    width = _width(exact) + 64 * draw(st.integers(0, 2))
+    top = 2 ** (width - 1) - 1
+    bound = draw(st.sampled_from([exact, top, (exact + top) // 2]))
+    return UniPoly(_pack(cs, width), den * k, width, bound)
+
+
+@st.composite
+def packed_values(draw):
+    """(reference coefficients, two packings of that value)."""
+    cs = draw(st.lists(big_coeffs, max_size=6))
+    den = draw(st.integers(1, 12))
+    return (_trim(Fraction(c, den) for c in cs),
+            _packed(draw, cs, den), _packed(draw, cs, den))
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_values(), packed_values(),
+       st.fractions(min_value=-2 ** 64, max_value=2 ** 64, max_denominator=7))
+def test_packed_kernels_match_reference(x, y, q):
+    (ra, a, a2), (rb, b, b2) = x, y
+    assert a == a2 and hash(a) == hash(a2)
+    assert (a == b) == (ra == rb) and (a2 == b2) == (ra == rb)
+    results = [(a + b, _ref_add(ra, rb, 1)), (a2 - b, _ref_add(ra, rb, -1)),
+               (a * b2, _ref_mul(ra, rb)), (a2 * a, _ref_mul(ra, ra)),
+               ((RatFunc.from_poly(b) * q).num, _trim(c * q for c in rb)),
+               (-a, [-c for c in ra])]
+    for v, want in results:
+        _assert_packed(v)
+        assert list(v.coefficients) == want
+        canonical = UniPoly.from_fractions(want)
+        assert v == canonical and hash(v) == hash(canonical)
+        assert UniPoly.parse(v.to_text()) == v
+    # operands rewritten in place by a repack keep their values
+    for v, want in ((a, ra), (a2, ra), (b, rb), (b2, rb)):
+        _assert_packed(v)
+        assert list(v.coefficients) == want
+
+
+def test_packed_product_repacks_wider():
+    a = UniPoly.from_ints([2 ** 40, -1, 3])
+    assert a._B == 64
+    square = a * a
+    assert square._B == 128 and a._B == 128
+    assert list(square.coefficients) == [2 ** 80, -2 ** 41, 6 * 2 ** 40 + 1, -6, 9]
 
 
 # -- division against sympy, which shares no code with UniPoly

@@ -3,10 +3,9 @@ operators.  The one-row polynomials are cross-checked against a directly
 expanded exponential generating function."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hlvir import vertex
 from hlvir.exactnum import (QQ, RHO_GENERIC, RHO_ZERO, RhoSpec,
@@ -28,16 +27,9 @@ def exp_series(arg_terms, max_degree):
         power = TPoly.from_terms(
             field, ((m, c) for m, c in power.terms.items()
                     if sum(v * e for v, e in m) <= max_degree))
-        out = out + power.scale(Fraction(1, _factorial(k)))
+        out = out + power.scale(Fraction(1, factorial(k)))
         if not power:
             break
-    return out
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
     return out
 
 
@@ -295,3 +287,53 @@ def test_rational_rho_matches_specialized_generic(r):
         want = TPoly.from_terms(QQ, (
             (m, specialize_at_rational(c, r)) for m, c in generic.terms.items()))
         assert hl_q(lam, rho) == want, (lam, r)
+
+
+# -- Jacobi-Trudi at rho = 0, from Newton's identities alone
+#
+# At rho = 0, Q_lambda is the Schur function s_lambda, with p_j = j * t_j.
+# h_k and e_k come from Newton's identities in TPoly arithmetic, and
+# s_lambda from the Jacobi-Trudi determinant (the dual one in e when the
+# partition is longer than wide, so no determinant exceeds 4 x 4 at size 8).
+
+def _newton(max_k, sign):
+    """h_0..h_max_k (sign = 1) or e_0..e_max_k (sign = -1):
+    k x_k = sum_{j=1}^{k} sign^(j-1) p_j x_{k-j}, p_j = j t_j."""
+    out = [TPoly.one(QQ)]
+    for k in range(1, max_k + 1):
+        acc = TPoly.zero(QQ)
+        for j in range(1, k + 1):
+            p_j = TPoly.var(QQ, j).scale(j * sign ** (j - 1))
+            acc = acc + p_j * out[k - j]
+        out.append(acc.scale(Fraction(1, k)))
+    return out
+
+
+def _det(rows):
+    """Determinant by expansion along the first row."""
+    if not rows:
+        return TPoly.one(QQ)
+    out = TPoly.zero(QQ)
+    for col, entry in enumerate(rows[0]):
+        if entry:
+            minor = [row[:col] + row[col + 1:] for row in rows[1:]]
+            out = out + (entry * _det(minor)).scale((-1) ** col)
+    return out
+
+
+def _conjugate(lam):
+    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0] if lam else 0))
+
+
+def test_generic_at_zero_is_jacobi_trudi():
+    h, e = _newton(8, 1), _newton(8, -1)
+    for lam in (lam for k in range(9) for lam in partitions(k)):
+        seq, parts = (e, _conjugate(lam)) if len(lam) > (lam[0] if lam else 0) else (h, lam)
+        n = len(parts)
+        assert n <= 4
+        schur = _det([[seq[parts[i] - i + j] if parts[i] - i + j >= 0 else TPoly.zero(QQ)
+                       for j in range(n)] for i in range(n)])
+        generic = hl_q(lam, RHO_GENERIC)
+        at_zero = TPoly.from_terms(QQ, (
+            (m, specialize_at_rational(c, 0)) for m, c in generic.terms.items()))
+        assert at_zero == schur, lam

@@ -5,10 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hlvir.exactnum import QQ, RHO_GENERIC, RHO_ZERO, RhoSpec
+from hlvir.exactnum import QQ, RHO_GENERIC, RhoSpec
 from hlvir.tring import TPoly, apply, commutator_apply
 from hlvir.vertex import hl_q
 from hlvir.virasoro import (CASE_IDS, TheoremCase, VirasoroSpec,
