@@ -194,8 +194,7 @@ def main(argv=None) -> int:
         results[label] = load_results(checkout)
         if not results[label]:
             parser.error(f"no result files under {checkout / '.bench_out'}")
-        side = {"checkout": checkout.name, "git_rev": git_rev(checkout),
-                "workloads": collate_side(results[label])}
+        side = {"git_rev": git_rev(checkout), "workloads": collate_side(results[label])}
         if args.sweeps:
             side["sweeps"] = {name: run_sweep(checkout, body)
                               for name, body in SWEEPS.items()}
