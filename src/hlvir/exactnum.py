@@ -112,14 +112,17 @@ class UniPoly:
 
     A product or a rational scale is one big-int multiply and a sum one
     big-int add (after one rescale when the denominators differ); the
-    content gcd(den, P) is left unreduced.  A kernel whose operands differ in
-    width, or whose result's bound would reach 2^(B-1), first rewrites both
-    operands in place: content reduced, bound made exact, and one common
-    width wide enough for the result.  That changes the representation, never
-    the value.  The coefficient vector is unpacked, with its content reduced,
-    only where it is read: text, ``coefficient``, ``hash``, ``evaluate``,
-    division (``divmod``, ``gcd``, ``xgcd``, ``monic``) and the callers that
-    hand it to ``Cyclotomic``.  Immutable and hashable.
+    content gcd(den, P) is left unreduced.  A constant's int is the same at
+    every width, so it meets a value of any width directly.  When two
+    nonconstant operands differ in width, or a result's bound would reach
+    2^(B-1), the kernel works on repacked copies: content reduced, bound made
+    exact, and one common width wide enough for the result.  No operation
+    changes an existing value, so shared constants and cached values keep
+    the width they were made with.  The coefficient vector is unpacked, with
+    its content reduced, only where it is read: text, ``coefficient``,
+    ``hash``, ``evaluate``, division (``divmod``, ``gcd``, ``xgcd``,
+    ``monic``) and the callers that hand it to ``Cyclotomic``.  Immutable
+    and hashable.
     """
 
     __slots__ = ("_p", "_den", "_B", "_N")
@@ -151,17 +154,17 @@ class UniPoly:
         their common content removed: the canonical form."""
         return _reduce(_unpack(self._p, self._B), self._den)
 
-    def _tighten(self) -> None:
-        """Reduce the content and make the bound exact, in place."""
-        cs, self._den = self._reduced()
-        self._N = sum(map(abs, cs))
-        self._p = _pack(cs, self._B)
+    def _tightened(self) -> "UniPoly":
+        """The same value, at the same width, with its content reduced and
+        its bound exact."""
+        cs, den = self._reduced()
+        return UniPoly(_pack(cs, self._B), den, self._B, sum(map(abs, cs)))
 
-    def _widen(self, width: int) -> None:
-        """Repack in place at a width no smaller than the current one."""
-        if width != self._B:
-            self._p = _pack(_unpack(self._p, self._B), width)
-            self._B = width
+    def _at(self, width: int) -> "UniPoly":
+        """The same value packed at ``width``, which must hold its bound."""
+        if width == self._B:
+            return self
+        return UniPoly(_pack(_unpack(self._p, self._B), width), self._den, width, self._N)
 
     @staticmethod
     def from_ints(coeffs, den: int = 1) -> "UniPoly":
@@ -353,12 +356,13 @@ class UniPoly:
             other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        width = self._B
-        if other._B == width:
+        width = _shared_width(self, other)
+        if width:  # equal exactly when the difference's digits, below 2^width, are 0
             da, db = self._den, other._den
-            if da == db:  # the difference's digits stay below 2^width
-                return self._p == other._p
-            if (self._N * db + other._N * da).bit_length() <= width:
+            if da == db:
+                if (self._N + other._N).bit_length() <= width:
+                    return self._p == other._p
+            elif (self._N * db + other._N * da).bit_length() <= width:
                 return self._p * db == other._p * da
         return self._reduced() == other._reduced()
 
@@ -396,28 +400,47 @@ class UniPoly:
         return acc
 
 
-# The packed kernels.  Each takes its fast path when both operands have one
-# width and the result's bound fits it; otherwise ``_refit`` rewrites the
-# operands in place and the kernel runs again, now on the fast path.
+# The packed kernels.  Each takes its fast path when its operands share a
+# width (see ``_shared_width``) and the result's bound fits it; otherwise it
+# runs again on the copies ``_refit`` makes, now on the fast path.
 
 
-def _refit(a: UniPoly, b: UniPoly, bound) -> None:
-    """Bring a and b to one width that holds ``bound()``, the result's bound
-    from their current bounds and denominators; tighten both first when the
-    wider of their widths does not."""
+def _shared_width(a: UniPoly, b: UniPoly) -> int:
+    """A width at which both packed ints read as they are: the common width,
+    or the other operand's when one is a constant, whose int is the same at
+    every width that holds it (the caller's bound check makes sure it does);
+    0 when neither holds."""
+    if a._B == b._B or b._p.bit_length() < b._B:
+        return a._B
+    if a._p.bit_length() < a._B:
+        return b._B
+    return 0
+
+
+def _refit(a: UniPoly, b: UniPoly, bound) -> tuple[UniPoly, UniPoly]:
+    """Copies of a and b at one width that holds ``bound(a, b)``, the
+    result's bound from their bounds and denominators; both are tightened
+    first when the wider of their widths does not hold it."""
     width = max(a._B, b._B)
-    if bound().bit_length() >= width:
-        a._tighten()
-        b._tighten()
-        width = max(width, _width(bound()))
-    a._widen(width)
-    b._widen(width)
+    if bound(a, b).bit_length() >= width:
+        a, b = a._tightened(), b._tightened()
+        width = max(width, _width(bound(a, b)))
+    return a._at(width), b._at(width)
+
+
+def _add_bound(a: UniPoly, b: UniPoly) -> int:
+    den = lcm(a._den, b._den)
+    return a._N * (den // a._den) + b._N * (den // b._den)
+
+
+def _mul_bound(a: UniPoly, b: UniPoly) -> int:
+    return a._N * b._N
 
 
 def _up_add(a: UniPoly, b: UniPoly, sign: int) -> UniPoly:
     """a + sign * b."""
-    width = a._B
-    if b._B == width:
+    width = a._B if a._B == b._B else _shared_width(a, b)
+    if width:
         da, db = a._den, b._den
         if da == db:
             bound = a._N + b._N
@@ -431,29 +454,17 @@ def _up_add(a: UniPoly, b: UniPoly, sign: int) -> UniPoly:
             if bound.bit_length() < width:
                 p = a._p * fa + b._p * fb if sign > 0 else a._p * fa - b._p * fb
                 return UniPoly(p, den, width, bound) if p else _UP_ZERO
-    if not b._p:
-        return a
-    if not a._p:
-        return b if sign > 0 else UniPoly(-b._p, b._den, b._B, b._N)
-
-    def bound():
-        den = lcm(a._den, b._den)
-        return a._N * (den // a._den) + b._N * (den // b._den)
-    _refit(a, b, bound)
-    return _up_add(a, b, sign)
+    return _up_add(*_refit(a, b, _add_bound), sign)
 
 
 def _up_mul(a: UniPoly, b: UniPoly) -> UniPoly:
     """a * b."""
-    width = a._B
-    if b._B == width:
+    width = a._B if a._B == b._B else _shared_width(a, b)
+    if width:
         bound = a._N * b._N
         if bound.bit_length() < width:
             return UniPoly(a._p * b._p, a._den * b._den, width, bound)
-    if not a._p or not b._p:
-        return _UP_ZERO
-    _refit(a, b, lambda: a._N * b._N)
-    return _up_mul(a, b)
+    return _up_mul(*_refit(a, b, _mul_bound))
 
 
 def _up_scale(a: UniPoly, n: int, d: int) -> UniPoly:
@@ -463,9 +474,8 @@ def _up_scale(a: UniPoly, n: int, d: int) -> UniPoly:
     bound = a._N * abs(n)
     if bound.bit_length() < a._B:
         return UniPoly(a._p * n, a._den * d, a._B, bound)
-    a._tighten()
-    a._widen(max(a._B, _width(a._N * abs(n))))
-    return _up_scale(a, n, d)
+    a = a._tightened()
+    return _up_scale(a._at(max(a._B, _width(a._N * abs(n)))), n, d)
 
 
 def _as_unipoly(x):

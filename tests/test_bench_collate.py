@@ -1,6 +1,7 @@
 """The BENCH collator (tools/bench_collate.py) on hand-made result files:
-per-side summaries and the pairwise comparison.  tools/ is not a package,
-so this loads the script by file."""
+per-side summaries, the pairwise comparison and the recorded sweeps (with a
+stand-in for the timed sweep).  tools/ is not a package, so this loads the
+script by file."""
 
 import importlib.util
 import json
@@ -29,14 +30,22 @@ def _write_results(checkout, digest, ops_per_s, trace=0):
         (out / name).write_text(json.dumps(record))
 
 
-def test_collate_two_sides(tmp_path):
+def test_collate_two_sides(tmp_path, monkeypatch):
     tool = _load_tool()
+    swept = []
+
+    def fake_sweep(checkout, body):
+        swept.append(checkout.name)
+        return {"seconds": 1.0, "cases": 3, "failed": 0}
+    monkeypatch.setattr(tool, "run_sweep", fake_sweep)
     parent, change = tmp_path / "parent", tmp_path / "change"
     _write_results(parent, "aaa", [10.0, 12.0, 11.0, 13.0])
     _write_results(change, "bbb", [15.0, 11.5, 16.0, 17.0])
     out = tmp_path / "BENCH_1.json"
-    assert tool.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    assert tool.main(["--out", str(out), str(parent), str(change)]) == 0
     record = json.loads(out.read_text())
+    assert swept == ["parent"] * len(tool.SWEEPS) + ["change"] * len(tool.SWEEPS)
+    assert set(record["sides"]["change"]["sweeps"]) == set(tool.SWEEPS)
 
     side = record["sides"]["change"]["workloads"]["generic-rho"]["untraced"]
     assert side["seeds"] == [1, 2, 3, 4] and side["src_digests"] == ["bbb"]
@@ -44,10 +53,11 @@ def test_collate_two_sides(tmp_path):
                                             "max": 17.0, "runs": 4}
     assert "machine" in record and "nproc" in record["machine"]
 
-    cmp = record["comparison"]["workloads"]["generic-rho"]["ops_per_s"]
+    cmp = record["comparison"]["generic-rho"]["ops_per_s"]
     assert cmp["better"] == "higher" and cmp["pairs"] == 4
     assert cmp["wins"] == 3  # seed 2 got slower
     assert cmp["median_before"] == 11.5 and cmp["median_after"] == 15.5
-    assert cmp["iqr_before"] == 1.5 and cmp["gap"] == 4.0
+    # quartiles of 10, 11, 12, 13 as perfbench/spread.py takes them: 10.25, 12.75
+    assert cmp["iqr_before"] == 2.5 and cmp["gap"] == 4.0
     # setup_s is equal in every pair: no wins for "lower is better"
-    assert record["comparison"]["workloads"]["generic-rho"]["setup_s"]["wins"] == 0
+    assert record["comparison"]["generic-rho"]["setup_s"]["wins"] == 0

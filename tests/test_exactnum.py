@@ -9,8 +9,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlvir.exactnum import (_UP_ONE, GENERIC, QQ, Cyclotomic, PoleError,
-                            RatFunc, RhoSpec, UniPoly, _pack, _unpack, _width,
+from hlvir.exactnum import (_UP_ONE, GENERIC, QQ, RATFUNC_RHO, UNIPOLY_X,
+                            Cyclotomic, PoleError, RatFunc, RhoSpec, UniPoly,
+                            _pack, _unpack, _width,
                             cyclotomic_field, cyclotomic_poly, euler_phi,
                             specialize_at_rational, specialize_at_root)
 
@@ -159,6 +160,8 @@ def packed_values(draw):
        st.fractions(min_value=-2 ** 64, max_value=2 ** 64, max_denominator=7))
 def test_packed_kernels_match_reference(x, y, q):
     (ra, a, a2), (rb, b, b2) = x, y
+    operands = (a, a2, b, b2)
+    before = [_stored(v) for v in operands]
     assert a == a2 and hash(a) == hash(a2)
     assert (a == b) == (ra == rb) and (a2 == b2) == (ra == rb)
     results = [(a + b, _ref_add(ra, rb, 1)), (a2 - b, _ref_add(ra, rb, -1)),
@@ -171,18 +174,41 @@ def test_packed_kernels_match_reference(x, y, q):
         canonical = UniPoly.from_fractions(want)
         assert v == canonical and hash(v) == hash(canonical)
         assert UniPoly.parse(v.to_text()) == v
-    # operands rewritten in place by a repack keep their values
-    for v, want in ((a, ra), (a2, ra), (b, rb), (b2, rb)):
-        _assert_packed(v)
-        assert list(v.coefficients) == want
+    # a repack works on copies: the operands' stored forms are untouched
+    assert [_stored(v) for v in operands] == before
+
+
+def _stored(v):
+    return v._p, v._den, v._B, v._N
 
 
 def test_packed_product_repacks_wider():
     a = UniPoly.from_ints([2 ** 40, -1, 3])
     assert a._B == 64
     square = a * a
-    assert square._B == 128 and a._B == 128
+    assert square._B == 128 and a._B == 64
     assert list(square.coefficients) == [2 ** 80, -2 ** 41, 6 * 2 ** 40 + 1, -6, 9]
+
+
+def test_shared_constants_keep_their_width():
+    wide = RatFunc.make(UniPoly.from_ints([2 ** 70, 1]), UniPoly.from_ints([1, 1]))
+    assert wide.num._B == 128
+    poly = RatFunc.from_poly(UniPoly.from_ints([3, 5]))
+    ones = [_stored(_UP_ONE), _stored(UNIPOLY_X)]
+    total = wide + poly
+    assert total == RatFunc.make(UniPoly.from_ints([2 ** 70 + 3, 9, 5]),
+                                 UniPoly.from_ints([1, 1]))
+    assert (wide * RATFUNC_RHO - RATFUNC_RHO * wide).is_zero()
+    assert [_stored(_UP_ONE), _stored(UNIPOLY_X)] == ones and _UP_ONE._B == 64
+    assert (poly * poly).num._B == 64  # narrow values stay narrow
+
+
+def test_wide_constant_meets_narrow_polynomial():
+    rho = UniPoly.from_ints([0, 1])  # width 64: the int 2^64
+    c = UniPoly.constant(2 ** 64)  # width 128: the same int
+    assert rho._p == c._p and rho._B != c._B
+    assert rho != c and c != rho and rho - c == UniPoly.from_ints([-2 ** 64, 1])
+    assert list((rho * c).coefficients) == [0, 2 ** 64]
 
 
 # -- division against sympy, which shares no code with UniPoly

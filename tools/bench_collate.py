@@ -1,22 +1,22 @@
 """Collate perfbench results into a committed ``BENCH_<k>.json``.
 
-    python3 tools/bench_collate.py --out BENCH_1.json [--sweeps] \\
-        parent=PATH/TO/PARENT change=PATH/TO/CHANGE
+    python3 tools/bench_collate.py --out BENCH_1.json PARENT CHANGE
 
-Each ``LABEL=CHECKOUT`` names one side: a checkout of hlvir whose
-``.bench_out/result-<workload>-seed<n>-trace<0|1>.json`` files were written
-by ``perfbench/run.py``.  For every side the file records the git revision,
-the digests of the measured sources, and per workload the median, min and
-max of every metric over its untraced runs (and over its traced runs, for
-the per-layer metrics).  With two sides it also compares them pair by pair:
+PARENT and CHANGE are checkouts of hlvir (the parent commit and the change)
+whose ``.bench_out/result-<workload>-seed<n>-trace<0|1>.json`` files were
+written by ``perfbench/run.py``.  For each side the file records the git
+revision, the digests of the measured sources, and per workload the median,
+min and max of every metric over its untraced runs (and over its traced
+runs, for the per-layer metrics).  It then compares the sides pair by pair:
 runs of the same workload and seed are a pair, a win is judged by the
 metric's ``better`` in ``BENCHMARK.json``, and the gap between the medians
-is set against the first side's interquartile range.
+is set against the parent's interquartile range (quartiles as
+``perfbench/spread.py`` takes them).
 
-``--sweeps`` adds the heavy sweeps the benchmark leaves out, timed once per
-side in a fresh interpreter (cold caches): the criterion-7 straightening
-sweep at generic rho and criterion 11's ``Exchange`` grid at generic rho.
-Stdlib only.
+It also times the heavy sweeps the benchmark leaves out, once per side in a
+fresh interpreter (cold caches): the criterion-7 straightening sweep at
+generic rho and criterion 11's ``Exchange`` grid at generic rho (about two
+minutes a side).  Stdlib only.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def summary(values: list[float]) -> dict:
 def quartiles(values: list[float]) -> tuple[float, float]:
     if len(values) < 2:
         return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return q1, q3
 
 
@@ -174,36 +174,24 @@ def run_sweep(checkout: Path, body: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--sweeps", action="store_true",
-                        help="time the heavy generic-rho sweeps once per side")
-    parser.add_argument("sides", nargs="+", metavar="LABEL=CHECKOUT")
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
-
-    sides = []
-    for spec in args.sides:
-        label, sep, path = spec.partition("=")
-        if not sep or not label:
-            parser.error(f"expected LABEL=CHECKOUT, got {spec!r}")
-        sides.append((label, Path(path).resolve()))
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
     record: dict = {"machine": machine_info(), "sides": {}}
     results = {}
-    for label, checkout in sides:
+    for label in ("parent", "change"):
+        checkout = getattr(args, label).resolve()
         results[label] = load_results(checkout)
         if not results[label]:
             parser.error(f"no result files under {checkout / '.bench_out'}")
-        side = {"git_rev": git_rev(checkout), "workloads": collate_side(results[label])}
-        if args.sweeps:
-            side["sweeps"] = {name: run_sweep(checkout, body)
-                              for name, body in SWEEPS.items()}
-        record["sides"][label] = side
-    if len(sides) == 2:
-        (first, _), (second, _) = sides
-        record["comparison"] = {"base": first, "other": second,
-                                "workloads": compare(results[first], results[second],
-                                                     better)}
+        record["sides"][label] = {
+            "git_rev": git_rev(checkout),
+            "workloads": collate_side(results[label]),
+            "sweeps": {name: run_sweep(checkout, body) for name, body in SWEEPS.items()}}
+    record["comparison"] = compare(results["parent"], results["change"], better)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     return 0
