@@ -113,16 +113,20 @@ class UniPoly:
     A product or a rational scale is one big-int multiply and a sum one
     big-int add (after one rescale when the denominators differ); the
     content gcd(den, P) is left unreduced.  A constant's int is the same at
-    every width, so it meets a value of any width directly.  When two
-    nonconstant operands differ in width, or a result's bound would reach
-    2^(B-1), the kernel works on repacked copies: content reduced, bound made
-    exact, and one common width wide enough for the result.  No operation
-    changes an existing value, so shared constants and cached values keep
-    the width they were made with.  The coefficient vector is unpacked, with
-    its content reduced, only where it is read: text, ``coefficient``,
-    ``hash``, ``evaluate``, division (``divmod``, ``gcd``, ``xgcd``,
-    ``monic``) and the callers that hand it to ``Cyclotomic``.  Immutable
-    and hashable.
+    every width, so it meets a value of any width directly.  When a result's
+    bound would reach 2^(B-1), the kernel first tightens both operands
+    (content reduced, bound made exact); when two nonconstant operands then
+    differ in width or the bound still does not fit, it works on copies
+    packed at one width wide enough for the result.  Tightening is done in
+    place: it changes neither the value nor the width and only shrinks the
+    stored ints, and a cached operand would otherwise be tightened again at
+    every use.  A wider packing is always a copy, so shared constants and
+    cached values keep the width they were made with.  The coefficient
+    vector is unpacked, with its content reduced, only where it is read:
+    text, ``coefficient``, ``hash``, ``evaluate``, division (``divmod``,
+    ``gcd``, ``xgcd``, ``monic``) and the callers that hand it to
+    ``Cyclotomic``.  Values are immutable (only their stored form is
+    tightened) and hashable.
     """
 
     __slots__ = ("_p", "_den", "_B", "_N")
@@ -154,11 +158,13 @@ class UniPoly:
         their common content removed: the canonical form."""
         return _reduce(_unpack(self._p, self._B), self._den)
 
-    def _tightened(self) -> "UniPoly":
-        """The same value, at the same width, with its content reduced and
-        its bound exact."""
+    def _tighten(self) -> None:
+        """Reduce the content and make the bound exact, in place and at the
+        same width.  This changes neither the value nor the width and only
+        shrinks the stored ints, so a shared or cached value may be
+        tightened: it is done once per value, not at every later use."""
         cs, den = self._reduced()
-        return UniPoly(_pack(cs, self._B), den, self._B, sum(map(abs, cs)))
+        self._p, self._den, self._N = _pack(cs, self._B), den, sum(map(abs, cs))
 
     def _at(self, width: int) -> "UniPoly":
         """The same value packed at ``width``, which must hold its bound."""
@@ -402,7 +408,7 @@ class UniPoly:
 
 # The packed kernels.  Each takes its fast path when its operands share a
 # width (see ``_shared_width``) and the result's bound fits it; otherwise it
-# runs again on the copies ``_refit`` makes, now on the fast path.
+# runs again on what ``_refit`` returns, now on the fast path.
 
 
 def _shared_width(a: UniPoly, b: UniPoly) -> int:
@@ -418,12 +424,13 @@ def _shared_width(a: UniPoly, b: UniPoly) -> int:
 
 
 def _refit(a: UniPoly, b: UniPoly, bound) -> tuple[UniPoly, UniPoly]:
-    """Copies of a and b at one width that holds ``bound(a, b)``, the
-    result's bound from their bounds and denominators; both are tightened
-    first when the wider of their widths does not hold it."""
+    """a and b at one width that holds ``bound(a, b)``, the result's bound
+    from their bounds and denominators; both are tightened first when the
+    wider of their widths does not hold it.  A wider packing is a copy."""
     width = max(a._B, b._B)
     if bound(a, b).bit_length() >= width:
-        a, b = a._tightened(), b._tightened()
+        a._tighten()
+        b._tighten()
         width = max(width, _width(bound(a, b)))
     return a._at(width), b._at(width)
 
@@ -474,7 +481,7 @@ def _up_scale(a: UniPoly, n: int, d: int) -> UniPoly:
     bound = a._N * abs(n)
     if bound.bit_length() < a._B:
         return UniPoly(a._p * n, a._den * d, a._B, bound)
-    a = a._tightened()
+    a._tighten()
     return _up_scale(a._at(max(a._B, _width(a._N * abs(n)))), n, d)
 
 

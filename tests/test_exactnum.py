@@ -161,7 +161,7 @@ def packed_values(draw):
 def test_packed_kernels_match_reference(x, y, q):
     (ra, a, a2), (rb, b, b2) = x, y
     operands = (a, a2, b, b2)
-    before = [_stored(v) for v in operands]
+    widths = [v._B for v in operands]
     assert a == a2 and hash(a) == hash(a2)
     assert (a == b) == (ra == rb) and (a2 == b2) == (ra == rb)
     results = [(a + b, _ref_add(ra, rb, 1)), (a2 - b, _ref_add(ra, rb, -1)),
@@ -174,8 +174,11 @@ def test_packed_kernels_match_reference(x, y, q):
         canonical = UniPoly.from_fractions(want)
         assert v == canonical and hash(v) == hash(canonical)
         assert UniPoly.parse(v.to_text()) == v
-    # a repack works on copies: the operands' stored forms are untouched
-    assert [_stored(v) for v in operands] == before
+    # operands may be tightened in place, but never widened and never changed
+    for v, want in zip(operands, (ra, ra, rb, rb)):
+        _assert_packed(v)
+        assert list(v.coefficients) == want
+    assert [v._B for v in operands] == widths
 
 
 def _stored(v):
