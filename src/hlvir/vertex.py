@@ -3,27 +3,28 @@ the row operators B_m, and through them the polynomials Q_label.
 
 B(u) = exp(sum_k (1 - rho^k) t_k u^k) * exp(-sum_k (1/k) d_k u^{-k}), and
 B_m is the u^m coefficient (N. Jing, Vertex operators and Hall-Littlewood
-symmetric functions, Adv. Math. 87 (1991)).  The annihilation factor acts on
-each t_k^e of a monomial on its own, exp(-d_k u^{-k} / k) t_k^e =
-sum_s C(e, s) (-1/k)^s u^{-ks} t_k^{e-s}, so on a monomial t^mu
+symmetric functions, Adv. Math. 87 (1991)).  E_i, the u^i coefficient of
+the creation factor, is B_i 1 = Q_{(i)}.  The annihilation factor is a
+shift, f(t) -> f(t_k - u^{-k}/k), so B(u) t_k = (t_k - u^{-k}/k) B(u), and
+on u^m
 
-    B_m t^mu = sum_{nu <= mu} E_{m+|mu|-|nu|} t^nu prod_k C(e_k, s_k) (-1/k)^{s_k}
+    B_m (t_k f) = t_k B_m f - (1/k) B_{m+k} f.
 
-with s = mu - nu, where E_i is the u^i coefficient of the creation factor
-(E_i = Q_{(i)}).  Everything here is exact over Q, Q(rho), or a cyclotomic
-field.
+With B_m t^mu = 0 for m + |mu| < 0 and B_m 1 = E_m, this builds B_m on a
+monomial from entries one factor shorter: each entry is one shift by t_k
+of another plus a -1/k multiple of a third.  Everything here is exact over
+Q, Q(rho), or a cyclotomic field.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb
 from typing import Iterable
 
 from .exactnum import FieldMismatchError, RhoSpec
-from .tring import (DegeneratePairingError, Mono, Sparse, TPoly, _embed,
-                    mono_degree, mono_mul)
+from .tring import (DegeneratePairingError, Mono, Sparse, TPoly, _accumulate,
+                    _embed, mono_degree, mono_mul_var)
 
 Label = tuple[int, ...]
 
@@ -109,47 +110,47 @@ def one_row(i: int, rho: RhoSpec) -> TPoly:
 # row operators on monomials
 
 def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono) -> TPoly:
-    """B_m t^mono, by the closed form in the module docstring."""
-    key = (rho.key, m, mono)
-    hit = _B_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # lowered[j]: the (nu, weight) with |mono| - |nu| = j
-    lowered: dict[int, list[tuple[Mono, Fraction]]] = {0: [((), Fraction(1))]}
-    for k, e in mono:
-        step: dict[int, list] = {}
-        for s in range(e + 1):
-            w = comb(e, s) * Fraction(-1, k) ** s
-            part = ((k, e - s),) if s < e else ()
-            for j, terms in lowered.items():
-                step.setdefault(j + k * s, []).extend(
-                    (nu + part, c * w) for nu, c in terms)
-        lowered = step
-    out: dict = {}
-    for j in sorted(lowered):
-        if m + j < 0:
+    """B_m t^mono by the commutation relation in the module docstring,
+    peeling off the largest t_k first (what is left, the small indices, other
+    monomials share).  A loop: each entry (j, nu) met is built once, kept in
+    a memo local to the call (so ``--no-cache`` stays polynomial) and cached."""
+    field = rho.field
+    done: dict = {}
+    todo = [(m, mono)]
+    while todo:
+        entry = j, mu = todo.pop()
+        if entry in done:
             continue
-        row = one_row(m + j, rho).terms
-        for nu, c in lowered[j]:
-            for mono_e, a in row.items():
-                prod = mono_mul(mono_e, nu)
-                v = a if c == 1 else a * c
-                cur = out.get(prod)
-                out[prod] = v if cur is None else cur + v
-    res = TPoly(rho.field, {mo: c for mo, c in out.items() if c})
-    return _cache_put(_B_CACHE, key, res)
+        key = (rho.key, j, mu)
+        out = _B_CACHE.get(key)
+        if out is None and j + mono_degree(mu) < 0:
+            out = TPoly.zero(field)
+        elif out is None and not mu:
+            out = _cache_put(_B_CACHE, key, one_row(j, rho))
+        elif out is None:
+            k, e = mu[-1]
+            nu = mu[:-1] + ((k, e - 1),) if e > 1 else mu[:-1]
+            need = [x for x in ((j, nu), (j + k, nu)) if x not in done]
+            if need:
+                todo += [entry] + need
+                continue
+            terms = {mono_mul_var(mo, k): c for mo, c in done[j, nu].terms.items()}
+            high, w = done[j + k, nu].terms.items(), Fraction(-1, k)
+            _accumulate(terms, ((mo, -c) for mo, c in high) if k == 1
+                        else ((mo, c * w) for mo, c in high))
+            out = _cache_put(_B_CACHE, key, TPoly(field, terms))
+        done[entry] = out
+    return done[m, mono]
 
 
 def apply_B(m: int, f: TPoly, rho: RhoSpec) -> TPoly:
     """Apply the row operator B_m to f, linearly over its monomials."""
     if f.field is not rho.field:
         raise FieldMismatchError("apply_B needs f over rho's coefficient field")
-    out = TPoly.zero(f.field)
+    out: dict = {}
     for mono, c in f.terms.items():
-        if m + mono_degree(mono) < 0:
-            continue
-        out = out + _apply_b_mono(rho, m, mono).scale(c)
-    return out
+        _accumulate(out, ((mo, a * c) for mo, a in _apply_b_mono(rho, m, mono).terms.items()))
+    return TPoly(f.field, out)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +228,10 @@ class QCombination(Sparse):
         """Expand every Q_label into the t-polynomial ring."""
         if self.field is not rho.field:
             raise FieldMismatchError("combination field does not match rho")
-        out = TPoly.zero(self.field)
+        out: dict = {}
         for label, c in self.canonical_items():
-            q = hl_q(label, rho)
-            if q:
-                out = out + q.scale(c)
-        return out
+            _accumulate(out, ((mo, a * c) for mo, a in hl_q(label, rho).terms.items()))
+        return TPoly(self.field, out)
 
     # -- key hooks: labels sorted by length, then descending lexicographically
 

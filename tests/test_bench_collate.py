@@ -1,7 +1,7 @@
 """The BENCH collator (tools/bench_collate.py) on hand-made result files:
-per-side summaries, the pairwise comparison and the recorded sweeps (with a
-stand-in for the timed sweep).  tools/ is not a package, so this loads the
-script by file."""
+per-side summaries, the pairwise comparison and the recorded sweeps (with
+stand-ins for the timed sweep and the reference loop).  tools/ is not a
+package, so this loads the script by file."""
 
 import importlib.util
 import json
@@ -33,19 +33,28 @@ def _write_results(checkout, digest, ops_per_s, trace=0):
 def test_collate_two_sides(tmp_path, monkeypatch):
     tool = _load_tool()
     swept = []
+    seconds = iter(range(1, 100))
 
     def fake_sweep(checkout, body):
-        swept.append(checkout.name)
-        return {"seconds": 1.0, "cases": 3, "failed": 0}
+        swept.append((body, checkout.name))
+        return {"seconds": float(next(seconds)), "cases": 3, "failed": 0}
     monkeypatch.setattr(tool, "run_sweep", fake_sweep)
+    # a host that runs the reference loop twice as fast as the reference one
+    monkeypatch.setattr(tool, "reference_s", lambda: tool.REFERENCE_S / 2)
     parent, change = tmp_path / "parent", tmp_path / "change"
     _write_results(parent, "aaa", [10.0, 12.0, 11.0, 13.0])
     _write_results(change, "bbb", [15.0, 11.5, 16.0, 17.0])
     out = tmp_path / "BENCH_1.json"
     assert tool.main(["--out", str(out), str(parent), str(change)]) == 0
     record = json.loads(out.read_text())
-    assert swept == ["parent"] * len(tool.SWEEPS) + ["change"] * len(tool.SWEEPS)
+    # each sweep REPEATS times per side, parent and change alternating
+    assert swept == [(body, side) for body in tool.SWEEPS.values()
+                     for _ in range(tool.REPEATS) for side in ("parent", "change")]
     assert set(record["sides"]["change"]["sweeps"]) == set(tool.SWEEPS)
+    assert "exchange_rational" in tool.SWEEPS
+    first = record["sides"]["change"]["sweeps"]["c7_generic_sweep"]
+    assert first == {"seconds": [2.0, 4.0, 6.0], "host_scale": [2.0, 2.0, 2.0],
+                     "median_s": 4.0, "scaled_median_s": 8.0, "cases": 3, "failed": 0}
 
     side = record["sides"]["change"]["workloads"]["generic-rho"]["untraced"]
     assert side["seeds"] == [1, 2, 3, 4] and side["src_digests"] == ["bbb"]

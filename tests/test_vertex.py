@@ -78,22 +78,69 @@ def _lower_coeffs(f):
     return g
 
 
-@pytest.mark.parametrize("rho", [RHO_GENERIC, RHO_ZERO, RhoSpec.rational(2),
-                                 RhoSpec.root(3)])
-def test_closed_form_b_matches_derivative_route(rho):
-    """B_m t^mu by the closed form equals sum_j E_{m+j} g_j with g_j from
-    the derivatives, for every monomial of degree <= 6 and m in -3..3."""
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("rho, max_degree", [
+    (RHO_GENERIC, 6), (RHO_ZERO, 6), (RhoSpec.rational(2), 6), (RhoSpec.root(3), 6),
+    (RhoSpec.root(5), 5)])
+def test_b_on_monomials_matches_derivative_route(rho, max_degree, cached):
+    """B_m t^mu equals sum_j E_{m+j} g_j with g_j from the derivatives, for
+    every monomial up to max_degree and m in -6..6; uncached, every entry
+    comes from the memo of its own call."""
     field = rho.field
-    for d in range(7):
-        for lam in partitions(d):
-            mono = mono_from_exponents((v, lam.count(v)) for v in set(lam))
-            g = _lower_coeffs(TPoly(field, {mono: field.one}))
-            for m in range(-3, 4):
-                want = TPoly.zero(field)
-                for j, gj in enumerate(g):
-                    if m + j >= 0 and gj:
-                        want = want + one_row(m + j, rho) * gj
-                assert _apply_b_mono(rho, m, mono) == want, (rho, m, mono)
+    clear_caches()
+    set_cache_enabled(cached)
+    try:
+        for d in range(max_degree + 1):
+            for lam in partitions(d):
+                mono = mono_from_exponents((v, lam.count(v)) for v in set(lam))
+                g = _lower_coeffs(TPoly(field, {mono: field.one}))
+                for m in range(-6, 7):
+                    want = TPoly.zero(field)
+                    for j, gj in enumerate(g):
+                        if m + j >= 0 and gj:
+                            want = want + one_row(m + j, rho) * gj
+                    assert _apply_b_mono(rho, m, mono) == want, (rho, m, mono)
+    finally:
+        set_cache_enabled(True)
+
+
+def test_b_on_monomials_without_cache_builds_each_entry_once(monkeypatch):
+    # B_0 t_1^10 peels ten t_1's down to E_0..E_10: 11 rows, where a
+    # recursion without a per-call memo would reach them 2^10 times
+    calls = []
+    row = vertex.one_row
+
+    def counted(i, rho):
+        calls.append(i)
+        return row(i, rho)
+
+    mono = ((1, 10),)
+    clear_caches()
+    want = _apply_b_mono(RHO_ZERO, 0, mono)
+    monkeypatch.setattr(vertex, "one_row", counted)
+    set_cache_enabled(False)
+    try:
+        got = _apply_b_mono(RHO_ZERO, 0, mono)
+    finally:
+        set_cache_enabled(True)
+    assert len(calls) <= 11
+    assert got == want
+
+
+def test_schur_q_pfaffian_at_minus_one():
+    """At rho = -1, Q_lambda is Schur's Q-function, and for a > b
+    Q_(a,b) = Q_a Q_b + 2 sum_{k=1}^{b} (-1)^k Q_{a+k} Q_{b-k} (Macdonald,
+    Symmetric Functions, III.8); Q_(a,a) = 0.  The right side uses only the
+    one-row polynomials and TPoly products, no row operator."""
+    rho = RhoSpec.rational(-1)
+    for a in range(2, 8):
+        for b in range(1, a):
+            want = one_row(a, rho) * one_row(b, rho)
+            for k in range(1, b + 1):
+                want = want + (one_row(a + k, rho) * one_row(b - k, rho)).scale(2 * (-1) ** k)
+            assert hl_q((a, b), rho) == want, (a, b)
+    for a in range(1, 5):
+        assert hl_q((a, a), rho) == TPoly.zero(QQ), a
 
 
 def test_one_row_examples():

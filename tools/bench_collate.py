@@ -13,10 +13,14 @@ metric's ``better`` in ``BENCHMARK.json``, and the gap between the medians
 is set against the parent's interquartile range (quartiles as
 ``perfbench/spread.py`` takes them).
 
-It also times the heavy sweeps the benchmark leaves out, once per side in a
-fresh interpreter (cold caches): the criterion-7 straightening sweep at
-generic rho and criterion 11's ``Exchange`` grid at generic rho (about two
-minutes a side).  Stdlib only.
+It also times the heavy sweeps the benchmark leaves out, each in a fresh
+interpreter (cold caches): the criterion-7 straightening sweep at generic
+rho and criterion 11's ``Exchange`` grid at generic rho and at rho = 2.
+Each sweep runs REPEATS times per side, parent and change alternating, and
+``perfbench/run.py``'s reference loop is timed just before and just after
+every run.  The record keeps every sample, its host scale (REFERENCE_S over
+the mean of the two reference times), the median, and the median of the
+scaled samples.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -31,6 +35,23 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import REFERENCE_S, reference_s  # noqa: E402
+
+REPEATS = 3
+
+# criterion 11's Exchange grid at the one field ``rho``
+_EXCHANGE = """
+from dataclasses import replace
+from hlvir.selftest import CRITERIA
+grid = next(g for row in CRITERIA if row.number == 11 for g in row.checks
+            if getattr(g, "case_id", None) == "Exchange")
+grid = replace(grid, axes={**grid.axes, "rho": (rho,)})
+t0 = clock()
+oks = [ok for ok, _ in grid()]
+cases, failed = len(oks), oks.count(False)
+"""
 
 # Each sweep runs in a child interpreter on the side's own sources; it sets
 # ``cases`` and ``failed``, and only the sweep itself is timed.
@@ -45,17 +66,9 @@ t0 = clock()
 failed = sum(1 for lam in labels if straighten(lam, rho).evaluate(rho) != hl_q(lam, rho))
 cases = len(labels)
 """,
-    "exchange_generic": """
-from dataclasses import replace
-from hlvir.exactnum import RHO_GENERIC
-from hlvir.selftest import CRITERIA
-grid = next(g for row in CRITERIA if row.number == 11 for g in row.checks
-            if getattr(g, "case_id", None) == "Exchange")
-grid = replace(grid, axes={**grid.axes, "rho": (RHO_GENERIC,)})
-t0 = clock()
-oks = [ok for ok, _ in grid()]
-cases, failed = len(oks), oks.count(False)
-""",
+    "exchange_generic": "from hlvir.exactnum import RHO_GENERIC as rho" + _EXCHANGE,
+    "exchange_rational": "from hlvir.exactnum import RhoSpec\nrho = RhoSpec.rational(2)"
+                         + _EXCHANGE,
 }
 
 _SWEEP_WRAPPER = """
@@ -171,6 +184,28 @@ def run_sweep(checkout: Path, body: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def time_sweeps(checkouts: dict[str, Path]) -> dict:
+    """Per side and sweep: REPEATS cold runs, the sides alternating run by
+    run, each scaled to the reference host as ``perfbench/run.py`` does."""
+    runs: dict = {label: {name: [] for name in SWEEPS} for label in checkouts}
+    for name, body in SWEEPS.items():
+        for _ in range(REPEATS):
+            for label, checkout in checkouts.items():
+                ref_before = reference_s()
+                res = run_sweep(checkout, body)
+                res["host_scale"] = 2 * REFERENCE_S / (ref_before + reference_s())
+                runs[label][name].append(res)
+    return {label: {name: {
+        "seconds": [r["seconds"] for r in samples],
+        "host_scale": [r["host_scale"] for r in samples],
+        "median_s": statistics.median(r["seconds"] for r in samples),
+        "scaled_median_s": statistics.median(r["seconds"] * r["host_scale"]
+                                             for r in samples),
+        "cases": samples[0]["cases"],
+        "failed": max(r["failed"] for r in samples)}
+        for name, samples in sweeps.items()} for label, sweeps in runs.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -180,17 +215,17 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
+    checkouts = {label: getattr(args, label).resolve() for label in ("parent", "change")}
     record: dict = {"machine": machine_info(), "sides": {}}
     results = {}
-    for label in ("parent", "change"):
-        checkout = getattr(args, label).resolve()
+    for label, checkout in checkouts.items():
         results[label] = load_results(checkout)
         if not results[label]:
             parser.error(f"no result files under {checkout / '.bench_out'}")
-        record["sides"][label] = {
-            "git_rev": git_rev(checkout),
-            "workloads": collate_side(results[label]),
-            "sweeps": {name: run_sweep(checkout, body) for name, body in SWEEPS.items()}}
+        record["sides"][label] = {"git_rev": git_rev(checkout),
+                                  "workloads": collate_side(results[label])}
+    for label, sweeps in time_sweeps(checkouts).items():
+        record["sides"][label]["sweeps"] = sweeps
     record["comparison"] = compare(results["parent"], results["change"], better)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
@@ -198,4 +233,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # the reference loop and the sweeps it scales run on one CPU, as in
+    # perfbench/run.py
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.exit(main())
