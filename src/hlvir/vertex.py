@@ -111,9 +111,10 @@ def one_row(i: int, rho: RhoSpec) -> TPoly:
 
 def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono) -> TPoly:
     """B_m t^mono by the commutation relation in the module docstring,
-    peeling off the largest t_k first (what is left, the small indices, other
-    monomials share).  A loop: each entry (j, nu) met is built once, kept in
-    a memo local to the call (so ``--no-cache`` stays polynomial) and cached."""
+    peeling the largest t_k first, so shorter entries keep the small indices
+    that many monomials share.  A loop: each entry (j, nu) met is built once,
+    kept in a memo local to the call (so ``--no-cache`` stays polynomial)
+    and cached."""
     field = rho.field
     done: dict = {}
     todo = [(m, mono)]

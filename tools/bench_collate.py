@@ -184,6 +184,16 @@ def run_sweep(checkout: Path, body: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def sweep_summary(samples: list[dict]) -> dict:
+    return {"seconds": [r["seconds"] for r in samples],
+            "host_scale": [r["host_scale"] for r in samples],
+            "median_s": statistics.median(r["seconds"] for r in samples),
+            "scaled_median_s": statistics.median(r["seconds"] * r["host_scale"]
+                                                 for r in samples),
+            "cases": samples[0]["cases"],
+            "failed": max(r["failed"] for r in samples)}
+
+
 def time_sweeps(checkouts: dict[str, Path]) -> dict:
     """Per side and sweep: REPEATS cold runs, the sides alternating run by
     run, each scaled to the reference host as ``perfbench/run.py`` does."""
@@ -195,15 +205,8 @@ def time_sweeps(checkouts: dict[str, Path]) -> dict:
                 res = run_sweep(checkout, body)
                 res["host_scale"] = 2 * REFERENCE_S / (ref_before + reference_s())
                 runs[label][name].append(res)
-    return {label: {name: {
-        "seconds": [r["seconds"] for r in samples],
-        "host_scale": [r["host_scale"] for r in samples],
-        "median_s": statistics.median(r["seconds"] for r in samples),
-        "scaled_median_s": statistics.median(r["seconds"] * r["host_scale"]
-                                             for r in samples),
-        "cases": samples[0]["cases"],
-        "failed": max(r["failed"] for r in samples)}
-        for name, samples in sweeps.items()} for label, sweeps in runs.items()}
+    return {label: {name: sweep_summary(samples) for name, samples in sweeps.items()}
+            for label, sweeps in runs.items()}
 
 
 def main(argv=None) -> int:
