@@ -44,12 +44,17 @@ def _parse_vector(text: str) -> tuple:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _check_order(order: int, max_order: int) -> None:
+    if order > max_order:
+        raise ValueError(
+            f"root order {order} exceeds the cap {max_order}"
+            " (raise it with --max-xi-order)")
+
+
 def _parse_rho(text: str, max_order: int) -> RhoSpec:
     rho = RhoSpec.parse(text)
-    if rho.kind == "root" and rho.order > max_order:
-        raise ValueError(
-            f"root order {rho.order} exceeds the cap {max_order}"
-            " (raise it with --max-xi-order)")
+    if rho.kind == "root":
+        _check_order(rho.order, max_order)
     return rho
 
 
@@ -139,6 +144,8 @@ def _cmd_verify(args) -> int:
     if case_id is None:
         raise ValueError(f"unknown case {args.case!r}; choose from "
                          + ", ".join(sorted(_CASE_NAMES)))
+    if args.n is not None:  # every identity's n is a root order
+        _check_order(args.n, args.max_xi_order)
     rho = _parse_rho(args.rho, args.max_xi_order) if args.rho else None
     lam = _parse_vector(args.lam) if args.lam is not None else None
     case = TheoremCase(case_id, n=args.n, m=args.m, i=args.i, j=args.j,

@@ -1,6 +1,6 @@
 """The graded polynomial ring Q_F[t_1, t_2, ...] with deg t_r = r, plus
-linear operators on it (finite term lists and closed-form term families)
-and the deformed power-sum inner product."""
+linear operators on it (a finite term list and a grading sum
+sum_k k t_k d_{k+shift}) and the deformed power-sum inner product."""
 
 from __future__ import annotations
 
@@ -337,40 +337,18 @@ class OpTerm:
 
 
 @dataclass(frozen=True)
-class FamilyRule:
-    """Closed-form family of terms indexed by k: scale * k^k_power times the
-    factors with indices k + offset.  Instantiated lazily against the
-    polynomial's support; unbounded families must contain a derivative factor
-    (its target bounds k)."""
-
-    factors: tuple[tuple[str, int], ...]  # (kind, offset): index is k + offset
-    k_power: int = 0
-    scale: object = Fraction(1)
-    k_min: int = 1
-    k_max: Optional[int] = None  # inclusive; None = unbounded
-    skip_multiples_of: Optional[int] = None
-
-    def instantiate(self, k: int) -> OpTerm:
-        coeff = self.scale * Fraction(k) ** self.k_power
-        return OpTerm(coeff, tuple((kind, k + off) for kind, off in self.factors))
-
-    def k_range(self, f: TPoly) -> range:
-        lo = self.k_min
-        if self.k_max is not None:
-            return range(lo, self.k_max + 1)
-        der_offsets = [off for kind, off in self.factors if kind == "der"]
-        if not der_offsets:
-            raise ValueError("unbounded family without derivative factor")
-        hi = f.max_var() - max(der_offsets)
-        return range(lo, hi + 1)
-
-
-@dataclass(frozen=True)
 class LinOperator:
-    """A finite list of explicit terms plus closed-form families."""
+    """A finite list of explicit terms plus, when ``shift`` is set, the
+    grading sum
+
+        sum_{k >= max(1, 1 - shift)}^{f.max_var() - shift} k t_k d_{k+shift}
+
+    without the k that are multiples of ``skip`` (when set).  The range of k
+    is read off the polynomial the operator is applied to."""
 
     finite: tuple[OpTerm, ...] = ()
-    families: tuple[FamilyRule, ...] = ()
+    shift: Optional[int] = None
+    skip: Optional[int] = None
 
 
 def _apply_term(term: OpTerm, f: TPoly) -> TPoly:
@@ -384,16 +362,15 @@ def _apply_term(term: OpTerm, f: TPoly) -> TPoly:
 
 def apply(op: LinOperator, f: TPoly) -> TPoly:
     """Apply a linear operator to a polynomial (exact, term by term)."""
-    out = TPoly.zero(f.field)
+    out: dict = {}
     for term in op.finite:
-        out = out + _apply_term(term, f)
-    for fam in op.families:
-        skip = fam.skip_multiples_of
-        for k in fam.k_range(f):
-            if skip is not None and k % skip == 0:
-                continue
-            out = out + _apply_term(fam.instantiate(k), f)
-    return out
+        _accumulate(out, _apply_term(term, f).terms.items())
+    shift, skip = op.shift, op.skip
+    if shift is not None:
+        for k in range(max(1, 1 - shift), f.max_var() - shift + 1):
+            if skip is None or k % skip:
+                _accumulate(out, f.diff(k + shift).mul_var(k, k).terms.items())
+    return TPoly(f.field, out)
 
 
 def commutator_apply(a: LinOperator, b: LinOperator, f: TPoly) -> TPoly:

@@ -109,14 +109,13 @@ def one_row(i: int, rho: RhoSpec) -> TPoly:
 # ---------------------------------------------------------------------------
 # row operators on monomials
 
-def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono) -> TPoly:
+def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> TPoly:
     """B_m t^mono by the commutation relation in the module docstring,
     peeling the largest t_k first, so shorter entries keep the small indices
     that many monomials share.  A loop: each entry (j, nu) met is built once,
-    kept in a memo local to the call (so ``--no-cache`` stays polynomial)
-    and cached."""
+    kept in ``done`` (a memo that the caller shares between the monomials of
+    one polynomial, so ``--no-cache`` stays polynomial) and cached."""
     field = rho.field
-    done: dict = {}
     todo = [(m, mono)]
     while todo:
         entry = j, mu = todo.pop()
@@ -149,8 +148,10 @@ def apply_B(m: int, f: TPoly, rho: RhoSpec) -> TPoly:
     if f.field is not rho.field:
         raise FieldMismatchError("apply_B needs f over rho's coefficient field")
     out: dict = {}
+    done: dict = {}
     for mono, c in f.terms.items():
-        _accumulate(out, ((mo, a * c) for mo, a in _apply_b_mono(rho, m, mono).terms.items()))
+        b = _apply_b_mono(rho, m, mono, done)
+        _accumulate(out, ((mo, a * c) for mo, a in b.terms.items()))
     return TPoly(f.field, out)
 
 

@@ -10,7 +10,12 @@ Families (all coefficients rational, applied over any coefficient field):
 * Ltilde: Lhat + (1/2) sum_{k=1}^{mn-1} d_k d_{mn-k}.
 * Wmn:   sum_{k=1}^{mn-1} d_k d_{mn-k}  (m >= 1).
 * Vmn:   sum_{k=1, n!|k}^{mn-1} p_k p_{mn-k}  (m >= 1, multiplication only).
-* LS/WS: the n = 1 forms acting on Schur polynomials (no filter, no constant).
+* LS/WS: the n = 1 forms of Lmn and Wmn acting on Schur polynomials (no
+         filter, no constant); for m < 0, WS is sum_{k=1}^{-m-1} p_k p_{-m-k}.
+
+Each is built from at most two sums, the grading sum sum_k k t_k d_{k+nm}
+(``LinOperator.shift`` and ``skip``) and one second-order sum over
+k = 1..p-1, plus the constant of Lmn at m = 0.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from typing import Callable, Optional
 
 from .exactnum import QQ, RHO_ZERO, RhoSpec
 from .structure import c_coeff, multiplicities, multiply_p, partitions
-from .tring import (FamilyRule, LinOperator, OpTerm, TPoly, apply,
-                    commutator_apply, mono_from_exponents)
+from .tring import (LinOperator, OpTerm, TPoly, apply, commutator_apply,
+                    mono_from_exponents)
 from .vertex import Label, QCombination, apply_B, hl_q, perp_t
 
 FAMILIES = ("Lmn", "Lhat", "Ltilde", "Wmn", "Vmn", "LS", "WS")
@@ -52,68 +57,40 @@ class VirasoroSpec:
             raise ValueError(f"{self.family} is defined for m >= 1 only")
 
 
-def _grading_family(n: int, m: int, skip: Optional[int]) -> FamilyRule:
-    """sum_k k t_k d_{k+nm}, truncated to derivative indices >= 1."""
-    nm = n * m
-    return FamilyRule(factors=(("mul", 0), ("der", nm)), k_power=1,
-                      k_min=max(1, 1 - nm), skip_multiples_of=skip)
+def _second_order(p: int, kind: str, c: Fraction,
+                  skip: Optional[int] = None) -> tuple[OpTerm, ...]:
+    """sum_{k=1}^{p-1} c d_k d_{p-k} ("der") or c k(p-k) t_k t_{p-k} ("mul"),
+    without the k that are multiples of skip."""
+    return tuple(
+        OpTerm(c * k * (p - k) if kind == "mul" else c, ((kind, k), (kind, p - k)))
+        for k in range(1, p) if skip is None or k % skip)
 
 
-def _second_order_terms(n: int, m: int, skip: Optional[int]) -> list[OpTerm]:
-    nm = n * m
-    out = []
-    if m > 0:
-        for k in range(1, nm):
-            if skip is not None and k % skip == 0:
-                continue
-            out.append(OpTerm(Fraction(1, 2), (("der", k), ("der", nm - k))))
-    elif m < 0:
-        for k in range(1, -nm):
-            if skip is not None and k % skip == 0:
-                continue
-            out.append(OpTerm(Fraction(-k * (nm + k), 2),
-                              (("mul", k), ("mul", -nm - k))))
-    return out
+_HALF, _ONE = Fraction(1, 2), Fraction(1)
 
 
 # Not in the vertex cache registry: small rho-free term lists, one per
 # operator spec, shared by every field.
 @lru_cache(maxsize=None)
 def build_operator(spec: VirasoroSpec) -> LinOperator:
-    family, m, n = spec.family, spec.m, spec.n
-    if family == "Lmn":
-        finite = _second_order_terms(n, m, n)
-        if m == 0:
-            finite.append(OpTerm(Fraction(n * n - 1, 24), ()))
-        return LinOperator(tuple(finite), (_grading_family(n, m, n),))
-    if family == "LS":
-        finite = _second_order_terms(1, m, None)
-        return LinOperator(tuple(finite), (_grading_family(1, m, None),))
-    if family == "Lhat":
-        return LinOperator((), (_grading_family(n, m, None),))
-    if family == "Ltilde":
-        finite = []
-        if m > 0:
-            finite = [OpTerm(Fraction(1, 2), (("der", k), ("der", n * m - k)))
-                      for k in range(1, n * m)]
-        return LinOperator(tuple(finite), (_grading_family(n, m, None),))
-    if family == "Wmn":
-        return LinOperator(tuple(
-            OpTerm(Fraction(1), (("der", k), ("der", n * m - k)))
-            for k in range(1, n * m)), ())
-    if family == "Vmn":
-        return LinOperator(tuple(
-            OpTerm(Fraction(k * (n * m - k)), (("mul", k), ("mul", n * m - k)))
-            for k in range(1, n * m) if k % n != 0), ())
+    family, m = spec.family, spec.m
+    n = spec.n or 1
+    nm = n * m
+    if family == "Wmn" or (family == "WS" and m >= 0):
+        return LinOperator(_second_order(nm, "der", _ONE))
     if family == "WS":
-        if m >= 0:
-            return LinOperator(tuple(
-                OpTerm(Fraction(1), (("der", k), ("der", m - k)))
-                for k in range(1, m)), ())
-        return LinOperator(tuple(
-            OpTerm(Fraction(k * (-m - k)), (("mul", k), ("mul", -m - k)))
-            for k in range(1, -m)), ())
-    raise AssertionError(family)
+        return LinOperator(_second_order(-m, "mul", _ONE))
+    if family == "Vmn":
+        return LinOperator(_second_order(nm, "mul", _ONE, n))
+    skip = n if family == "Lmn" else None
+    finite = ()
+    if m > 0 and family != "Lhat":
+        finite = _second_order(nm, "der", _HALF, skip)
+    elif m < 0 and family in ("Lmn", "LS"):
+        finite = _second_order(-nm, "mul", _HALF, skip)
+    elif m == 0 and family == "Lmn":
+        finite = (OpTerm(Fraction(n * n - 1, 24), ()),)
+    return LinOperator(finite, nm, skip)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +101,12 @@ def _shift(lam: Label, i: int, a: int) -> Label:
     return lam[:i] + (lam[i] + a,) + lam[i + 1:]
 
 
+def _pair_shifts(lam: Label, a: int, b: int, coeff) -> list:
+    """(lam + a e_i + b e_j, coeff) for every i > j."""
+    return [(_shift(_shift(lam, i, a), j, b), coeff)
+            for i in range(1, len(lam)) for j in range(i)]
+
+
 def rhs_T1_1(n: int, m: int, lam) -> QCombination:
     """L_m action on Q_lam at a primitive n-th root of unity, m >= 0."""
     if n < 2 or m < 0:
@@ -131,53 +114,50 @@ def rhs_T1_1(n: int, m: int, lam) -> QCombination:
     rho = RhoSpec.root(n)
     field = rho.field
     lam = tuple(int(x) for x in lam)
-    l = len(lam)
     nm = n * m
-    items = []
-    for i in range(l):
-        items.append((_shift(lam, i, -nm), field.from_fraction(lam[i])))
+    items = [(_shift(lam, i, -nm), field.from_fraction(x)) for i, x in enumerate(lam)]
     for k in range(1, nm):
         coeff = field.one - rho.rho_pow(-k)
-        if not coeff:
-            continue
-        for i in range(1, l):
-            for j in range(i):
-                items.append((_shift(_shift(lam, i, -k), j, -(nm - k)), coeff))
+        if coeff:
+            items += _pair_shifts(lam, -k, -(nm - k), coeff)
     if m == 0:
         items.append((lam, field.from_fraction(Fraction(n * n - 1, 24))))
     return QCombination.from_terms(field, items)
 
 
-def rhs_T1_2(n: int, m: int, lam) -> QCombination:
-    """L_{-m} action on Q_lam at a primitive n-th root of unity, m >= 1."""
+def _lowering_sum(n: int, m: int, lam, at_root: bool) -> QCombination:
+    """The right side of L_{-m} on Q_lam at a primitive n-th root of unity xi
+    (at_root), or the same sum with weight 1 in place of xi^k and without
+    lam_i in the first coefficient, which is half that of V_m; m >= 1."""
     if n < 2 or m < 1:
         raise ValueError("needs n >= 2 and m >= 1")
     rho = RhoSpec.root(n)
     field = rho.field
     lam = tuple(int(x) for x in lam)
-    l = len(lam)
     nm = n * m
     half = field.from_fraction(Fraction(1, 2))
-    items = []
-    for i in range(l):
-        items.append((_shift(lam, i, nm),
-                      field.from_fraction(lam[i] + Fraction(m * (n - 1), 2))))
+    first = Fraction(m * (n - 1), 2)
+    items = [(_shift(lam, i, nm), field.from_fraction(x + first if at_root else first))
+             for i, x in enumerate(lam)]
     for k in range(1, nm):
         if k % n == 0:
             continue
-        xik = rho.rho_pow(k)
-        for i in range(1, l):
-            for j in range(i):
-                items.append((_shift(_shift(lam, i, k), j, nm - k), xik))
+        xik = rho.rho_pow(k) if at_root else field.one
+        items += _pair_shifts(lam, k, nm - k, xik)
         for mu in partitions(k):
             cmu = c_coeff(mu, rho)
-            for i in range(l):
+            for i in range(len(lam)):
                 items.append((_shift(lam, i, nm - k) + mu, xik * cmu))
             for j in range(len(mu)):
                 items.append((lam + _shift(mu, j, nm - k), half * cmu))
             for nu in partitions(nm - k):
                 items.append((lam + mu + nu, half * cmu * c_coeff(nu, rho)))
     return QCombination.from_terms(field, items)
+
+
+def rhs_T1_2(n: int, m: int, lam) -> QCombination:
+    """L_{-m} action on Q_lam at a primitive n-th root of unity, m >= 1."""
+    return _lowering_sum(n, m, lam, True)
 
 
 def rhs_T3_3(n: int, m: int, lam) -> QCombination:
@@ -191,21 +171,16 @@ def rhs_T3_3(n: int, m: int, lam) -> QCombination:
     rho = RhoSpec.root(n)
     field = rho.field
     lam = tuple(int(x) for x in lam)
-    l = len(lam)
     nm = n * m
-    items = []
-    for i in range(l):
-        items.append((_shift(lam, i, nm), field.from_fraction(lam[i])))
+    items = [(_shift(lam, i, nm), field.from_fraction(x)) for i, x in enumerate(lam)]
     for k in range(1, nm + 1):
         if k % n == 0:
             continue
         coeff = rho.rho_pow(k) - field.one
-        for i in range(1, l):
-            for j in range(i):
-                items.append((_shift(_shift(lam, i, k), j, nm - k), coeff))
+        items += _pair_shifts(lam, k, nm - k, coeff)
         for mu in partitions(k):
             cmu = c_coeff(mu, rho)
-            for i in range(l):
+            for i in range(len(lam)):
                 items.append((_shift(lam, i, nm - k) + mu, coeff * cmu))
     return QCombination.from_terms(field, items)
 
@@ -239,33 +214,10 @@ def rhs_TA4(m: int, lam) -> QCombination:
 
 
 def rhs_Vm(n: int, m: int, lam) -> QCombination:
-    """V_m action on Q_lam at a primitive n-th root of unity, m >= 1."""
-    if n < 2 or m < 1:
-        raise ValueError("needs n >= 2 and m >= 1")
-    rho = RhoSpec.root(n)
-    field = rho.field
-    lam = tuple(int(x) for x in lam)
-    l = len(lam)
-    nm = n * m
-    two = field.from_fraction(2)
-    items = []
-    for i in range(l):
-        items.append((_shift(lam, i, nm), field.from_fraction(m * (n - 1))))
-    for k in range(1, nm):
-        if k % n == 0:
-            continue
-        for i in range(1, l):
-            for j in range(i):
-                items.append((_shift(_shift(lam, i, k), j, nm - k), two))
-        for mu in partitions(k):
-            cmu = c_coeff(mu, rho)
-            for i in range(l):
-                items.append((_shift(lam, i, nm - k) + mu, two * cmu))
-            for j in range(len(mu)):
-                items.append((lam + _shift(mu, j, nm - k), cmu))
-            for nu in partitions(nm - k):
-                items.append((lam + mu + nu, cmu * c_coeff(nu, rho)))
-    return QCombination.from_terms(field, items)
+    """V_m action on Q_lam at a primitive n-th root of unity, m >= 1: twice
+    the L_{-m} sum with weight 1 in place of xi^k and without lam_i in the
+    first coefficient."""
+    return _lowering_sum(n, m, lam, False).scale(2)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +486,7 @@ IDENTITIES = (
     Identity("CorLtilde", "corLtilde", ("n", "m", "r"), True, _cor_ltilde, "m >= 1"),
     Identity("Lemma32", "lemma32", ("r", "rho"), True, _lemma32),
     Identity("LemmaA1", "lemmaA1", ("m", "r"), True, lambda m, r: _prop33(
-        RHO_ZERO, LinOperator((), (_grading_family(1, m, None),)), 1, m, r),
+        RHO_ZERO, LinOperator(shift=m), 1, m, r),
         "m != 0"),
     Identity("CorA2", "corA2", ("m", "r"), True, _cor_a2, "m != 0"),
     Identity("VmQ", "vm", ("n", "m", "lam"), False, lambda n, m, lam: _action(

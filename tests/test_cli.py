@@ -187,6 +187,13 @@ def test_root_order_cap(capsys):
     code, _, _ = run_cli(capsys, "q", "--rho", "xi:70", "--lambda", "1",
                          "--max-xi-order", "128")
     assert code == 0
+    # every verify --n is a root order too
+    code, _, err = run_cli(capsys, "verify", "--case", "T1.1", "--n", "70",
+                           "--m", "0", "--lambda", "1")
+    assert code == 2 and "--max-xi-order" in err
+    code, _, _ = run_cli(capsys, "verify", "--case", "T1.1", "--n", "70",
+                         "--m", "0", "--lambda", "1", "--max-xi-order", "128")
+    assert code == 0
 
 
 def test_zero_denominator_rho_is_exit_2(capsys):

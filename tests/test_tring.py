@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlvir.exactnum import GENERIC, QQ, RHO_GENERIC, FieldMismatchError, RhoSpec
-from hlvir.tring import (DegeneratePairingError, FamilyRule, LinOperator,
-                         OpTerm, TPoly, apply, commutator_apply,
-                         inner_product, mono_from_exponents)
+from hlvir.tring import (DegeneratePairingError, LinOperator, OpTerm, TPoly,
+                         apply, commutator_apply, inner_product,
+                         mono_from_exponents)
 from hlvir.vertex import QCombination
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -127,31 +127,25 @@ def test_op_term_validation():
         OpTerm(Fraction(1), (("nope", 1),))
 
 
-def test_family_rule_needs_derivative_for_unbounded_range():
-    rule = FamilyRule(factors=(("mul", 0), ("mul", 1)), k_power=1)
-    with pytest.raises(ValueError):
-        rule.k_range(TPoly.var(QQ, 2))
-
-
 def test_grading_operator_counts_degree():
     # sum_k k t_k d_k multiplies a homogeneous polynomial by its degree
-    grading = LinOperator((), (FamilyRule(factors=(("mul", 0), ("der", 0)),
-                                          k_power=1),))
+    grading = LinOperator(shift=0)
     f = TPoly.var(QQ, 2) * TPoly.var(QQ, 3)
     assert apply(grading, f) == f.scale(5)
+    # leaving out the multiples of 3 drops t_3's share
+    assert apply(LinOperator(shift=0, skip=3), f) == f.scale(2)
 
 
 @given(tpolys, tpolys)
 def test_operator_linearity(f, g):
     op = LinOperator((OpTerm(Fraction(1, 2), (("der", 1), ("der", 1))),
-                      OpTerm(Fraction(3), (("mul", 2),))),
-                     (FamilyRule(factors=(("mul", 0), ("der", 1)), k_power=1),))
+                      OpTerm(Fraction(3), (("mul", 2),))), shift=1)
     assert apply(op, f + g) == apply(op, f) + apply(op, g)
 
 
 def test_commutator_apply_antisymmetry():
-    a = LinOperator((OpTerm(Fraction(1), (("der", 1),)),), ())
-    b = LinOperator((OpTerm(Fraction(1), (("mul", 1),)),), ())
+    a = LinOperator((OpTerm(Fraction(1), (("der", 1),)),))
+    b = LinOperator((OpTerm(Fraction(1), (("mul", 1),)),))
     f = TPoly.var(QQ, 1) * TPoly.var(QQ, 1)
     # [d_1, t_1] = identity
     assert commutator_apply(a, b, f) == f

@@ -99,7 +99,7 @@ def test_b_on_monomials_matches_derivative_route(rho, max_degree, cached):
                     for j, gj in enumerate(g):
                         if m + j >= 0 and gj:
                             want = want + one_row(m + j, rho) * gj
-                    assert _apply_b_mono(rho, m, mono) == want, (rho, m, mono)
+                    assert _apply_b_mono(rho, m, mono, {}) == want, (rho, m, mono)
     finally:
         set_cache_enabled(True)
 
@@ -116,14 +116,38 @@ def test_b_on_monomials_without_cache_builds_each_entry_once(monkeypatch):
 
     mono = ((1, 10),)
     clear_caches()
-    want = _apply_b_mono(RHO_ZERO, 0, mono)
+    want = _apply_b_mono(RHO_ZERO, 0, mono, {})
     monkeypatch.setattr(vertex, "one_row", counted)
     set_cache_enabled(False)
     try:
-        got = _apply_b_mono(RHO_ZERO, 0, mono)
+        got = _apply_b_mono(RHO_ZERO, 0, mono, {})
     finally:
         set_cache_enabled(True)
     assert len(calls) <= 11
+    assert got == want
+
+
+def test_b_on_a_polynomial_without_cache_shares_entries(monkeypatch):
+    # the monomials of one polynomial share the rows and entries of B_m:
+    # Q_(4,3,2,2,1) reads E_0..E_12 a few times per apply_B call, where a
+    # memo per monomial rebuilt them 153 times
+    calls = []
+    row = vertex.one_row
+
+    def counted(i, rho):
+        calls.append(i)
+        return row(i, rho)
+
+    label = (4, 3, 2, 2, 1)
+    clear_caches()
+    want = hl_q(label, RHO_ZERO)
+    monkeypatch.setattr(vertex, "one_row", counted)
+    set_cache_enabled(False)
+    try:
+        got = hl_q(label, RHO_ZERO)
+    finally:
+        set_cache_enabled(True)
+    assert len(calls) <= 30
     assert got == want
 
 

@@ -9,7 +9,7 @@ import pytest
 from hlvir.exactnum import QQ, RHO_GENERIC, RhoSpec
 from hlvir.tring import TPoly, apply, commutator_apply
 from hlvir.vertex import hl_q
-from hlvir.virasoro import (CASE_IDS, TheoremCase, VirasoroSpec,
+from hlvir.virasoro import (CASE_IDS, FAMILIES, TheoremCase, VirasoroSpec,
                             build_operator, monomial_basis, rhs_T1_1,
                             rhs_T1_2, verify_case)
 
@@ -34,9 +34,11 @@ def test_spec_validation():
 
 def test_operator_shapes():
     lhat = build_operator(VirasoroSpec("Lhat", 2, 2))
-    assert not lhat.finite and len(lhat.families) == 1
+    assert not lhat.finite and (lhat.shift, lhat.skip) == (4, None)
+    lmn = build_operator(VirasoroSpec("Lmn", -1, 3))
+    assert (lmn.shift, lmn.skip) == (-3, 3) and len(lmn.finite) == 2
     w = build_operator(VirasoroSpec("Wmn", 1, 3))
-    assert not w.families and len(w.finite) == 2
+    assert w.shift is None and len(w.finite) == 2
     v = build_operator(VirasoroSpec("Vmn", 1, 2))
     assert all(kind == "mul" for term in v.finite for kind, _ in term.factors)
     assert len(v.finite) == 1  # k = 1 only; k = 2 is filtered
@@ -46,6 +48,66 @@ def test_zero_mode_constant_term():
     l0 = build_operator(VirasoroSpec("Lmn", 0, 2))
     consts = [t for t in l0.finite if not t.factors]
     assert len(consts) == 1 and consts[0].coeff == Fraction(3, 24)
+
+
+# -- every family against the formulas of the module docstring
+
+
+def _docstring_action(spec: VirasoroSpec, f: TPoly) -> TPoly:
+    """The operator of the virasoro module docstring applied to f, summed
+    term by term from d_k and t_k (p_k = k t_k; t_k = d_k = 0 for k <= 0)."""
+    n, m = spec.n or 1, spec.m
+    nm = n * m
+    filtered = spec.family in ("Lmn", "Vmn")     # the sums over n !| k
+
+    def keep(k):
+        return not filtered or k % n != 0
+
+    def dd(p):      # sum_{k=1}^{p-1} d_k d_{p-k} f
+        out = TPoly.zero(f.field)
+        for k in range(1, p):
+            if keep(k):
+                out = out + f.diff(p - k).diff(k)
+        return out
+
+    def pp(p):      # sum_{k=1}^{p-1} p_k p_{p-k} f
+        out = TPoly.zero(f.field)
+        for k in range(1, p):
+            if keep(k):
+                out = out + f.mul_var(p - k, p - k).mul_var(k, k)
+        return out
+
+    grading = TPoly.zero(f.field)
+    for k in range(1, 17):      # reaches d_6 at every nm >= -9 of the sweep
+        if k + nm >= 1 and keep(k):
+            grading = grading + f.diff(k + nm).mul_var(k, k)
+    half = Fraction(1, 2)
+    if spec.family in ("Lmn", "LS"):
+        # -(1/2) k(mn+k) t_k t_{-mn-k} is (1/2) p_k p_{-mn-k}
+        out = grading + dd(nm).scale(half) + pp(-nm).scale(half)
+        if spec.family == "Lmn" and m == 0:
+            out = out + f.scale(Fraction(n * n - 1, 24))
+        return out
+    if spec.family == "Lhat":
+        return grading
+    if spec.family == "Ltilde":
+        return grading + dd(nm).scale(half)
+    if spec.family in ("Wmn", "WS"):
+        return dd(nm) + pp(-nm)
+    return pp(nm)       # Vmn
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_operators_match_docstring_formulas(family):
+    orders = (None,) if family in ("LS", "WS") else (2, 3)
+    modes = range(1, 4) if family in ("Wmn", "Vmn") else range(-3, 4)
+    basis = monomial_basis(QQ, 6)
+    for n in orders:
+        for m in modes:
+            spec = VirasoroSpec(family, m, n)
+            op = build_operator(spec)
+            for f in basis:
+                assert apply(op, f) == _docstring_action(spec, f), (spec, f)
 
 
 # -- hand anchors
