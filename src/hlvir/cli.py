@@ -17,7 +17,7 @@ from dataclasses import asdict
 from .exactnum import PoleError, RhoSpec
 from .structure import SingularCoefficientError, c_coeff, multiply_p, straighten
 from .tring import DegeneratePairingError, apply
-from .vertex import hl_q, set_cache_enabled
+from .vertex import hl_q, read_cache_max, set_cache_enabled
 from .virasoro import (IDENTITIES, TheoremCase, VirasoroSpec, build_operator,
                        verify_case)
 
@@ -132,6 +132,8 @@ def _cmd_apply(args) -> int:
     rho = _parse_rho(args.rho, args.max_xi_order)
     lam = _parse_vector(args.lam)
     spec = _parse_op(args.op)
+    if spec.n is not None:  # the operator's n is a root order
+        _check_order(spec.n, args.max_xi_order)
     result = apply(build_operator(spec), hl_q(lam, rho))
     _emit(args, result.to_text(),
           {"rho": rho.to_text(), "lambda": list(lam), "op": args.op,
@@ -257,6 +259,7 @@ def main(argv=None) -> int:
     if args.no_cache:
         set_cache_enabled(False)
     try:
+        read_cache_max()
         return args.handler(args)
     except SingularCoefficientError as exc:
         print(f"error: {exc}", file=sys.stderr)

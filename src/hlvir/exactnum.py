@@ -538,9 +538,6 @@ def _parse_power_term(tok: str, symbol: str) -> tuple[Fraction, int]:
 # cyclotomic polynomials and fields
 
 
-# Not in the vertex cache registry: one small int per root order, and
-# --max-xi-order bounds the orders.
-@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
@@ -558,40 +555,16 @@ def euler_phi(n: int) -> int:
     return out
 
 
-# Not in the vertex cache registry: one Phi_n per root order, a modulus of the
-# field rather than a result.
-@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> UniPoly:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
+    """The n-th cyclotomic polynomial, by exact division of x^n - 1 by the
+    moduli of the fields of every proper divisor of n."""
     if n < 1:
         raise ValueError("cyclotomic_poly needs n >= 1")
     num = UniPoly.from_ints([-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
-            num = num.divexact(cyclotomic_poly(d))
+            num = num.divexact(cyclotomic_field(d).modulus)
     return num
-
-
-# Not in the vertex cache registry: every Cyclotomic product folds through it,
-# so --no-cache must not drop it.
-@lru_cache(maxsize=None)
-def _cyclo_tables(n: int):
-    """phi(n), Phi_n, and the integer rows z^j mod Phi_n for
-    phi <= j <= max(2*phi - 2, n - 1): enough to fold a product of two
-    reduced elements, or any vector already wrapped by z^n = 1."""
-    phi = euler_phi(n)
-    Phi = cyclotomic_poly(n)
-    # Phi is monic with integer coefficients, so every row is integral
-    base = [-c for c in Phi._reduced()[0][:phi]]  # z^phi = -(Phi - z^phi)
-    rows = []
-    row = base
-    for _ in range(max(phi - 1, n - phi)):
-        rows.append(tuple(row))
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [x + top * b for x, b in zip(row, base)]
-    return phi, Phi, tuple(rows)
 
 
 def _fold(cs: list[int], phi: int, rows) -> list[int]:
@@ -633,14 +606,15 @@ class Cyclotomic:
     @staticmethod
     def _from_ints(order: int, num: list[int], den: int) -> "Cyclotomic":
         """num/den for integer coordinates of any length, reduced mod Phi_n."""
-        phi, _, rows = _cyclo_tables(order)
+        field = cyclotomic_field(order)
+        phi = field.phi
         if len(num) > order:  # z^n = 1
             wrapped = num[:order]
             for j in range(order, len(num)):
                 wrapped[j % order] += num[j]
             num = wrapped
         if len(num) > phi:
-            num = _fold(num, phi, rows)
+            num = _fold(num, phi, field.rows)
         else:
             num = num + [0] * (phi - len(num))
         return Cyclotomic._make(order, num, den)
@@ -654,7 +628,7 @@ class Cyclotomic:
 
     @staticmethod
     def constant(order: int, c: Union[int, Fraction]) -> "Cyclotomic":
-        return Cyclotomic(order, (c.numerator,) + (0,) * (euler_phi(order) - 1),
+        return Cyclotomic(order, (c.numerator,) + (0,) * (cyclotomic_field(order).phi - 1),
                           c.denominator)
 
     @staticmethod
@@ -740,7 +714,7 @@ class Cyclotomic:
         for i, x in enumerate(a):
             if x:
                 conv[i:i + phi] = [c + x * y for c, y in zip(conv[i:i + phi], b)]
-        _, _, rows = _cyclo_tables(self.order)
+        rows = cyclotomic_field(self.order).rows
         return Cyclotomic._make(self.order, _fold(conv, phi, rows), self.den * o.den)
 
     __rmul__ = __mul__
@@ -748,7 +722,7 @@ class Cyclotomic:
     def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi, Phi, _ = _cyclo_tables(self.order)
+        Phi = cyclotomic_field(self.order).modulus
         a = UniPoly.from_ints(self.num, self.den)
         g, s, _ = a.xgcd(Phi)
         if g.degree != 0:
@@ -1013,7 +987,7 @@ def _as_ratfunc(f: Union[RatFunc, UniPoly]) -> RatFunc:
 def specialize_at_root(f: Union[RatFunc, UniPoly], n: int) -> Cyclotomic:
     """Exact value (limit) of f at rho = xi_n; PoleError if infinite."""
     f = _as_ratfunc(f)
-    Phi = cyclotomic_poly(n)
+    Phi = cyclotomic_field(n).modulus
     num, den = f.num, f.den
     while True:
         nq, nr = divmod(num, Phi)
@@ -1085,14 +1059,38 @@ class RationalField:
 
 
 class CyclotomicFieldTag:
-    """Q(xi_n) with Cyclotomic values."""
+    """Q(xi_n) with Cyclotomic values, interned by ``cyclotomic_field``.
+
+    The tag carries the constants of the field: ``phi`` = phi(n), the
+    ``modulus`` Phi_n, the integer ``rows`` z^j mod Phi_n for
+    phi <= j <= max(2*phi - 2, n - 1), enough to fold a product of two
+    reduced elements, or any vector already wrapped by z^n = 1, and the
+    ``powers`` xi^k for 0 <= k < n.
+    """
 
     def __init__(self, order: int):
         self.order = order
         self.key = ("Qxi", order)
         self.name = f"Q(xi_{order})"
-        self.zero = Cyclotomic.constant(order, 0)
-        self.one = Cyclotomic.constant(order, 1)
+        self.phi = phi = euler_phi(order)
+        self.modulus = cyclotomic_poly(order)
+        # Phi_n is monic with integer coefficients, so every row is integral
+        base = [-c for c in self.modulus._reduced()[0][:phi]]  # z^phi = -(Phi_n - z^phi)
+        rows = []
+        row = base
+        for _ in range(max(phi - 1, order - phi)):
+            rows.append(tuple(row))
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [x + top * b for x, b in zip(row, base)]
+        self.rows = tuple(rows)
+        # not Cyclotomic.constant: it reads this tag, which is not interned yet
+        units = [(0,) * k + (1,) + (0,) * (phi - 1 - k) for k in range(phi)]
+        self.powers = tuple(Cyclotomic(order, num, 1)
+                            for num in units + rows[:order - phi])
+        self.zero = Cyclotomic(order, (0,) * phi, 1)
+        self.one = self.powers[0]
 
     def from_fraction(self, c: Union[int, Fraction]) -> Cyclotomic:
         return Cyclotomic.constant(self.order, c)
@@ -1159,10 +1157,10 @@ QQ = RationalField()
 GENERIC = GenericField()
 
 
-# Not in the vertex cache registry: it interns the tag that
-# ``field is other.field`` relies on, so it must never be emptied.
 @lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> CyclotomicFieldTag:
+    """The one tag of Q(xi_n): ``field is other.field`` compares fields, so
+    this table interns rather than memoizes, and nothing ever empties it."""
     return CyclotomicFieldTag(n)
 
 
@@ -1231,7 +1229,7 @@ class RhoSpec:
     def rho_pow(self, k: int):
         """rho^k as a field value (k may be negative where defined)."""
         if self.kind == "root":
-            return Cyclotomic.generator(self.order) ** (k % self.order)
+            return self.field.powers[k % self.order]
         if self.kind == "rational":
             if k < 0 and self.value == 0:
                 raise ZeroDivisionError("negative power of rho = 0")
@@ -1241,7 +1239,7 @@ class RhoSpec:
         return RatFunc.make(_UP_ONE, UniPoly.x_pow(-k))
 
     def one_minus_rho_pow(self, k: int):
-        return _one_minus_rho_pow(self, k)
+        return self.field.one - self.rho_pow(k)
 
     def specialize(self, f: RatFunc):
         """Send a generic-field value into this rho's field (exact limit)."""
@@ -1257,13 +1255,6 @@ class RhoSpec:
         if self.kind == "rational":
             return str(self.value)
         return f"xi:{self.order}"
-
-
-# Not in the vertex cache registry: a few constants per rho, read in every
-# one_row and perp_t step.
-@lru_cache(maxsize=None)
-def _one_minus_rho_pow(rho: RhoSpec, k: int):
-    return rho.field.from_fraction(1) - rho.rho_pow(k)
 
 
 RHO_GENERIC = RhoSpec.generic()

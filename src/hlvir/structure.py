@@ -5,11 +5,9 @@ specialization at rho = 0."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .exactnum import PoleError, RatFunc, RhoSpec, UniPoly
-from .tring import TPoly, mono_degree
 from .vertex import Label, QCombination, _cache_put, _new_cache
 
 # ---------------------------------------------------------------------------
@@ -31,9 +29,6 @@ def strip_zeros(label: Iterable[int]) -> Label:
     return label
 
 
-# Not in the vertex cache registry: field-free combinatorics, bounded by the
-# largest weight asked for.
-@lru_cache(maxsize=None)
 def partitions(n: int, max_part: Optional[int] = None) -> tuple[Label, ...]:
     """All partitions of n with parts bounded by max_part, largest part first."""
     if n < 0:
@@ -42,11 +37,17 @@ def partitions(n: int, max_part: Optional[int] = None) -> tuple[Label, ...]:
         return ((),)
     if max_part is None or max_part > n:
         max_part = n
+    hit = _PARTITIONS_CACHE.get((n, max_part))
+    if hit is not None:
+        return hit
     out = []
     for first in range(max_part, 0, -1):
         for rest in partitions(n - first, first):
             out.append((first,) + rest)
-    return tuple(out)
+    return _cache_put(_PARTITIONS_CACHE, (n, max_part), tuple(out))
+
+
+_PARTITIONS_CACHE = _new_cache()
 
 
 def multiplicities(mu: Label) -> dict[int, int]:
@@ -180,9 +181,6 @@ def _phi_poly(k: int) -> UniPoly:
     return out
 
 
-# Not in the vertex cache registry: one rho-free rational function per mu, the
-# source that the registered per-rho c_coeff cache specializes.
-@lru_cache(maxsize=None)
 def c_coeff_generic(mu: Label) -> RatFunc:
     """c_mu as a rational function of rho.
 
@@ -304,70 +302,3 @@ def mn_expand(r: int, lam: Iterable[int]) -> list[tuple[int, Label]]:
                 continue
             out.append((-1 if (b - a) % 2 else 1, mu_t))
     return out
-
-
-# ---------------------------------------------------------------------------
-# expanding a polynomial back into the Q basis
-
-
-def q_basis_expand(f: TPoly, rho: RhoSpec) -> QCombination:
-    """Write f in the Q basis by Gaussian elimination, degree by degree.
-
-    Only supported where the Q's of each degree are a basis: generic rho and
-    rho = 0.
-    """
-    if not (rho.kind == "generic" or (rho.kind == "rational" and rho.value == 0)):
-        raise ValueError("Q basis expansion supported at generic rho and rho = 0 only")
-    from .vertex import hl_q
-    field = rho.field
-    by_degree: dict[int, dict] = {}
-    for m, c in f.terms.items():
-        by_degree.setdefault(mono_degree(m), {})[m] = c
-    result = QCombination.zero(field)
-    for d, target in sorted(by_degree.items()):
-        mus = partitions(d)
-        monos = sorted({m for mu in mus for m in hl_q(mu, rho).terms} | set(target))
-        index = {m: i for i, m in enumerate(monos)}
-        # columns: Q_mu expansions; last column: the target
-        rows = [[field.zero] * (len(mus) + 1) for _ in monos]
-        for j, mu in enumerate(mus):
-            for m, c in hl_q(mu, rho).terms.items():
-                rows[index[m]][j] = c
-        for m, c in target.items():
-            rows[index[m]][len(mus)] = c
-        coeffs = _solve(rows, len(mus), field)
-        for mu, c in zip(mus, coeffs):
-            if c:
-                result = result + QCombination.single(field, mu, c)
-    return result
-
-
-def _solve(rows: list[list], ncols: int, field) -> list:
-    """Solve the overdetermined system (rows: [A | b]) exactly; the system is
-    consistent with a unique solution when the columns form a basis."""
-    n = len(rows)
-    pivot_of_col: list[Optional[int]] = [None] * ncols
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, n) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = field.one / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for i in range(n):
-            if i != row and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [u - factor * v for u, v in zip(rows[i], rows[row])]
-        pivot_of_col[col] = row
-        row += 1
-    sol = []
-    for col in range(ncols):
-        r = pivot_of_col[col]
-        sol.append(rows[r][ncols] if r is not None else field.zero)
-    for i in range(n):
-        if any(rows[i][:ncols]):
-            continue
-        if rows[i][ncols]:
-            raise ArithmeticError("polynomial is not in the span of the Q basis")
-    return sol

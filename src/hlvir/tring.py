@@ -244,10 +244,6 @@ class TPoly(Sparse):
     def coefficient(self, m: Mono):
         return self.terms.get(m, self.field.zero)
 
-    def is_homogeneous(self) -> bool:
-        degs = {mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
-
     # -- multiplication
 
     def __mul__(self, other) -> "TPoly":

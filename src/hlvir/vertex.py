@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .exactnum import FieldMismatchError, RhoSpec
 from .tring import (DegeneratePairingError, Mono, Sparse, TPoly, _accumulate,
@@ -38,20 +38,19 @@ class AdjointUndefinedError(DegeneratePairingError):
 
 _CACHES: list[dict] = []
 _CACHE_ENABLED = True
-_CACHE_MAX = int(os.environ.get("HLVIR_CACHE_MAX", "400000"))
+_CACHE_MAX: Optional[int] = None  # HLVIR_CACHE_MAX, read by the first write
 
 
 def _new_cache() -> dict:
-    """A registered memo dict: written only through ``_cache_put`` (so
-    ``--no-cache`` and ``HLVIR_CACHE_MAX`` apply) and emptied by
-    ``clear_caches``.  A full cache evicts its oldest entry."""
+    """A registered memo dict, the package's one kind of memo: written only
+    through ``_cache_put`` (so ``--no-cache`` and ``HLVIR_CACHE_MAX`` apply)
+    and emptied by ``clear_caches``.  A full cache evicts its oldest entry."""
     cache: dict = {}
     _CACHES.append(cache)
     return cache
 
 
-_E_CACHE = _new_cache()
-_B_CACHE = _new_cache()
+_B_CACHE = _new_cache()  # B_m t^mu by (rho, m, mu); E_m = B_m 1 is (rho, m, ())
 _Q_CACHE = _new_cache()
 
 
@@ -67,9 +66,25 @@ def clear_caches() -> None:
         cache.clear()
 
 
+def read_cache_max() -> int:
+    """The entry bound of each cache: ``HLVIR_CACHE_MAX``, an integer >= 1
+    (default 400000).  Any other value raises ValueError."""
+    global _CACHE_MAX
+    text = os.environ.get("HLVIR_CACHE_MAX", "400000")
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ValueError(f"HLVIR_CACHE_MAX must be an integer >= 1, got {text!r}")
+    _CACHE_MAX = bound
+    return bound
+
+
 def _cache_put(cache: dict, key, value):
     if _CACHE_ENABLED:
-        while cache and len(cache) >= _CACHE_MAX:
+        bound = _CACHE_MAX or read_cache_max()
+        while cache and len(cache) >= bound:
             del cache[next(iter(cache))]  # dicts keep insertion order
         cache[key] = value
     return value
@@ -80,19 +95,19 @@ def _cache_put(cache: dict, key, value):
 
 def one_row(i: int, rho: RhoSpec) -> TPoly:
     """E_i = Q_{(i)}, from j*E_j = sum_{k=1}^{j} k (1 - rho^k) t_k E_{j-k},
-    built up from E_0 through every E_j not cached yet."""
+    built up from E_0 through every E_j not cached yet (as the B_j 1 entry)."""
     field = rho.field
     if i < 0:
         return TPoly.zero(field)
     if i == 0:
-        return TPoly.one(field)
-    hit = _E_CACHE.get((rho.key, i))
+        return _cache_put(_B_CACHE, (rho.key, 0, ()), TPoly.one(field))
+    hit = _B_CACHE.get((rho.key, i, ()))
     if hit is not None:
         return hit
     rows = [TPoly.one(field)]
     for j in range(1, i + 1):
-        key = (rho.key, j)
-        row = _E_CACHE.get(key)
+        key = (rho.key, j, ())
+        row = _B_CACHE.get(key)
         if row is None:
             row = TPoly.zero(field)
             for k in range(1, j + 1):
@@ -101,7 +116,7 @@ def one_row(i: int, rho: RhoSpec) -> TPoly:
                     continue
                 scalar = factor * field.from_fraction(Fraction(k, j))
                 row = row + rows[j - k].mul_var(k, scalar)
-            _cache_put(_E_CACHE, key, row)
+            _cache_put(_B_CACHE, key, row)
         rows.append(row)
     return rows[i]
 
@@ -126,7 +141,7 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> TPoly:
         if out is None and j + mono_degree(mu) < 0:
             out = TPoly.zero(field)
         elif out is None and not mu:
-            out = _cache_put(_B_CACHE, key, one_row(j, rho))
+            out = one_row(j, rho)
         elif out is None:
             k, e = mu[-1]
             nu = mu[:-1] + ((k, e - 1),) if e > 1 else mu[:-1]
@@ -255,15 +270,3 @@ class QCombination(Sparse):
     def _key_from_json(data: list) -> Label:
         return tuple(int(x) for x in data)
 
-
-def perp_p(k: int, comb: QCombination) -> QCombination:
-    """Adjoint of multiplication by the degree-k power sum, on Q symbols:
-    sends Q_label to sum_i Q_{label - k e_i}."""
-    if k < 1:
-        raise ValueError("adjoint index must be >= 1")
-    items = []
-    for label, c in comb.terms.items():
-        for i in range(len(label)):
-            lowered = label[:i] + (label[i] - k,) + label[i + 1:]
-            items.append((lowered, c))
-    return QCombination.from_terms(comb.field, items)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .exactnum import QQ, RHO_ZERO, RhoSpec
@@ -69,9 +68,6 @@ def _second_order(p: int, kind: str, c: Fraction,
 _HALF, _ONE = Fraction(1, 2), Fraction(1)
 
 
-# Not in the vertex cache registry: small rho-free term lists, one per
-# operator spec, shared by every field.
-@lru_cache(maxsize=None)
 def build_operator(spec: VirasoroSpec) -> LinOperator:
     family, m = spec.family, spec.m
     n = spec.n or 1

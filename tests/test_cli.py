@@ -4,6 +4,7 @@ and determinism."""
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlvir import cli, selftest, structure
+from hlvir import cli, selftest, vertex
 from hlvir.exactnum import QQ, RhoSpec
 from hlvir.tring import TPoly
 from hlvir.vertex import clear_caches, hl_q, set_cache_enabled
@@ -194,6 +195,13 @@ def test_root_order_cap(capsys):
     code, _, _ = run_cli(capsys, "verify", "--case", "T1.1", "--n", "70",
                          "--m", "0", "--lambda", "1", "--max-xi-order", "128")
     assert code == 0
+    # and so is an operator's n
+    code, _, err = run_cli(capsys, "apply", "--op", "L:n=70,m=1", "--rho", "0",
+                           "--lambda", "1")
+    assert code == 2 and "--max-xi-order" in err
+    code, out, _ = run_cli(capsys, "apply", "--op", "L:n=70,m=1", "--rho", "0",
+                           "--lambda", "1", "--max-xi-order", "128")
+    assert code == 0 and out == "0\n"
 
 
 def test_zero_denominator_rho_is_exit_2(capsys):
@@ -267,21 +275,51 @@ def test_no_cache_flag_gives_same_answer(capsys):
         set_cache_enabled(True)
 
 
-def test_no_cache_flag_covers_straightening_and_c_coeff(capsys):
+def _touch_every_table(capsys, *extra):
+    for rho in ("generic", "0", "2", "xi:3"):
+        for argv in (("q", "--lambda", "2,1"), ("straighten", "--lambda", "1,2"),
+                     ("coeff", "--mu", "2,1"), ("mulp", "--lambda", "2", "--r", "2")):
+            code, _, _ = run_cli(capsys, *argv, "--rho", rho, *extra)
+            assert code == 0, (argv, rho)
+    code, _, _ = run_cli(capsys, "verify", "--case", "T1.2", "--n", "3",
+                         "--m", "1", "--lambda", "2,1", *extra)
+    assert code == 0
+
+
+def test_clear_caches_and_no_cache_reach_every_table(capsys):
+    clear_caches()
+    _touch_every_table(capsys)
+    assert all(vertex._CACHES)
+    clear_caches()
+    assert not any(vertex._CACHES)
     try:
-        code, _, _ = run_cli(capsys, "straighten", "--rho", "generic",
-                             "--lambda", "1,2,3", "--no-cache")
-        assert code == 0 and not structure._STRAIGHTEN_CACHE
-        code, _, _ = run_cli(capsys, "mulp", "--rho", "0", "--lambda", "2",
-                             "--r", "2", "--no-cache")
-        assert code == 0 and not structure._C_CACHE
+        _touch_every_table(capsys, "--no-cache")
+        assert not any(vertex._CACHES)
     finally:
         set_cache_enabled(True)
-    structure.straighten((1, 2), RhoSpec.parse("generic"))
-    structure.c_coeff((2, 1), RhoSpec.parse("0"))
-    assert structure._STRAIGHTEN_CACHE and structure._C_CACHE
+
+
+@pytest.mark.parametrize("bound", ["abc", "0", "-3", "1.5", ""])
+def test_bad_cache_bound_is_a_usage_error(bound):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hlvir", "q", "--rho", "0", "--lambda", "1"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "HLVIR_CACHE_MAX": bound})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: HLVIR_CACHE_MAX must be an integer >= 1, got {bound!r}\n")
+
+
+def test_cache_bound_of_one_entry(capsys, monkeypatch):
+    monkeypatch.setenv("HLVIR_CACHE_MAX", "1")
+    monkeypatch.setattr(vertex, "_CACHE_MAX", None)
     clear_caches()
-    assert not structure._STRAIGHTEN_CACHE and not structure._C_CACHE
+    try:
+        code, out, _ = run_cli(capsys, "q", "--rho", "0", "--lambda", "1,1")
+        assert code == 0 and out == "1/2*t1^2 - 1*t2\n"
+        assert all(len(cache) <= 1 for cache in vertex._CACHES)
+    finally:
+        clear_caches()
 
 
 def test_module_entry_point():

@@ -428,6 +428,19 @@ def test_one_minus_rho_pow():
     assert RhoSpec.rational(0).one_minus_rho_pow(7) == 1
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_root_powers_match_repeated_products(n):
+    """rho_pow at xi_n reads the field tag's table of powers."""
+    xi, power = Cyclotomic.generator(n), Cyclotomic.constant(n, 1)
+    powers = [power]
+    for _ in range(n - 1):
+        power = power * xi
+        powers.append(power)
+    rho = RhoSpec.root(n)
+    for k in range(-2 * n, 2 * n):
+        assert rho.rho_pow(k) == powers[k % n]
+
+
 def test_field_tags_are_singletons():
     assert cyclotomic_field(3) is cyclotomic_field(3)
     assert RhoSpec.root(4).field is cyclotomic_field(4)

@@ -3,6 +3,7 @@ border-strip rule.  Expansion coefficients are cross-checked against an
 independent linear solve in the Q basis."""
 
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,8 @@ from hlvir.exactnum import (GENERIC, QQ, RHO_GENERIC, RHO_ZERO, RatFunc,
 from hlvir.structure import (SingularCoefficientError, c_coeff,
                              c_coeff_generic, is_partition, mn_expand,
                              multiplicities, multiply_p, n_stat, p_expand,
-                             partitions, q_basis_expand, straighten,
-                             strip_zeros)
-from hlvir.tring import TPoly
+                             partitions, straighten, strip_zeros)
+from hlvir.tring import TPoly, mono_degree
 from hlvir.vertex import QCombination, clear_caches, hl_q
 
 small_labels = st.lists(st.integers(min_value=-2, max_value=3),
@@ -122,6 +122,70 @@ def test_c_hooks_at_zero():
     assert c_coeff((3, 1, 1), RHO_ZERO) == 1
     assert c_coeff((2, 1), RHO_ZERO) == -1
     assert c_coeff((2, 2), RHO_ZERO) == 0
+
+
+# -- the independent route: expanding a polynomial back into the Q basis
+
+def q_basis_expand(f: TPoly, rho: RhoSpec) -> QCombination:
+    """Write f in the Q basis by Gaussian elimination, degree by degree.
+
+    Only supported where the Q's of each degree are a basis: generic rho and
+    rho = 0.
+    """
+    if not (rho.kind == "generic" or (rho.kind == "rational" and rho.value == 0)):
+        raise ValueError("Q basis expansion supported at generic rho and rho = 0 only")
+    field = rho.field
+    by_degree: dict[int, dict] = {}
+    for m, c in f.terms.items():
+        by_degree.setdefault(mono_degree(m), {})[m] = c
+    result = QCombination.zero(field)
+    for d, target in sorted(by_degree.items()):
+        mus = partitions(d)
+        monos = sorted({m for mu in mus for m in hl_q(mu, rho).terms} | set(target))
+        index = {m: i for i, m in enumerate(monos)}
+        # columns: Q_mu expansions; last column: the target
+        rows = [[field.zero] * (len(mus) + 1) for _ in monos]
+        for j, mu in enumerate(mus):
+            for m, c in hl_q(mu, rho).terms.items():
+                rows[index[m]][j] = c
+        for m, c in target.items():
+            rows[index[m]][len(mus)] = c
+        coeffs = _solve(rows, len(mus), field)
+        for mu, c in zip(mus, coeffs):
+            if c:
+                result = result + QCombination.single(field, mu, c)
+    return result
+
+
+def _solve(rows: list[list], ncols: int, field) -> list:
+    """Solve the overdetermined system (rows: [A | b]) exactly; the system is
+    consistent with a unique solution when the columns form a basis."""
+    n = len(rows)
+    pivot_of_col: list[Optional[int]] = [None] * ncols
+    row = 0
+    for col in range(ncols):
+        piv = next((i for i in range(row, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        inv = field.one / rows[row][col]
+        rows[row] = [v * inv for v in rows[row]]
+        for i in range(n):
+            if i != row and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [u - factor * v for u, v in zip(rows[i], rows[row])]
+        pivot_of_col[col] = row
+        row += 1
+    sol = []
+    for col in range(ncols):
+        r = pivot_of_col[col]
+        sol.append(rows[r][ncols] if r is not None else field.zero)
+    for i in range(n):
+        if any(rows[i][:ncols]):
+            continue
+        if rows[i][ncols]:
+            raise ArithmeticError("polynomial is not in the span of the Q basis")
+    return sol
 
 
 def test_p_expansion_recovers_power_sums():

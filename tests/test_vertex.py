@@ -11,10 +11,10 @@ from hlvir import vertex
 from hlvir.exactnum import (QQ, RHO_GENERIC, RHO_ZERO, RhoSpec,
                             specialize_at_rational, specialize_at_root)
 from hlvir.structure import partitions
-from hlvir.tring import TPoly, inner_product, mono_from_exponents
+from hlvir.tring import TPoly, inner_product, mono_degree, mono_from_exponents
 from hlvir.vertex import (AdjointUndefinedError, QCombination, _apply_b_mono,
-                          apply_B, clear_caches, hl_q, one_row, perp_p,
-                          perp_t, set_cache_enabled)
+                          apply_B, clear_caches, hl_q, one_row, perp_t,
+                          set_cache_enabled)
 
 
 def exp_series(arg_terms, max_degree):
@@ -215,8 +215,7 @@ def test_hl_q_trailing_zeros_and_negative_tail():
 def test_hl_q_homogeneous_of_weight():
     for lam in [(2, 1), (3, 1, 1), (4,), (2, 2, 2)]:
         f = hl_q(lam, RHO_ZERO)
-        assert f.is_homogeneous()
-        assert f.degree() == sum(lam)
+        assert {mono_degree(m) for m in f.terms} == {sum(lam)}
 
 
 def test_schur_q_modes_square_to_zero():
@@ -250,13 +249,6 @@ def test_perp_t_undefined_at_degenerate_index():
     perp_t(2, f, x3)
 
 
-def test_perp_p_label_rule():
-    comb = QCombination.single(QQ, (3, 2))
-    out = perp_p(2, comb)
-    assert out == QCombination.from_terms(QQ, (((1, 2), Fraction(1)),
-                                               ((3, 0), Fraction(1))))
-
-
 def test_qcombination_text_and_json():
     comb = QCombination.from_terms(QQ, (((2,), Fraction(1)),
                                         ((1, 1), Fraction(-1, 2))))
@@ -282,6 +274,8 @@ def test_full_cache_evicts_its_oldest_entry(monkeypatch):
         for k in range(1, 6):
             assert hl_q((k,), rho) == want[k]
         assert list(vertex._Q_CACHE) == [(rho.key, (k,)) for k in (3, 4, 5)]
+        # E_k = B_k 1: one_row(5) rebuilt E_1, E_2 over the evicted rows
+        assert list(vertex._B_CACHE) == [(rho.key, k, ()) for k in (3, 4, 5)]
         assert all(len(cache) <= 3 for cache in vertex._CACHES)
     finally:
         clear_caches()
