@@ -16,6 +16,10 @@ packed Python int over an integer denominator, the Kronecker substitution
 rho -> 2^B; its arithmetic is big-int arithmetic, and its coefficient vector
 is unpacked only where text, a hash, division or a specialization needs it
 (see ``UniPoly``).  This module alone knows that format.
+
+Each field tag owns one scaled-sum kernel, ``lincomb``: the sum of c * terms
+over (c, terms) pairs, in integers over one growing denominator and normalized
+once per output key over Q and Q(xi_n), one product at a time over Q(rho).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
@@ -40,6 +45,21 @@ class PoleError(ArithmeticError):
 
 def _fr(x: Union[int, Fraction]) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _accumulate(acc: dict, items) -> dict:
+    """Add (key, nonzero value) pairs into acc; keys that cancel go."""
+    for k, c in items:
+        cur = acc.get(k)
+        if cur is None:
+            acc[k] = c
+        else:
+            cur = cur + c
+            if cur:
+                acc[k] = cur
+            else:
+                del acc[k]
+    return acc
 
 
 def signed_join(terms: Iterable[tuple[bool, str]]) -> str:
@@ -576,6 +596,11 @@ def _fold(cs: list[int], phi: int, rows) -> list[int]:
     return out
 
 
+def _coords(c) -> tuple:
+    """(integer coordinates, denominator) of a Cyclotomic or a rational."""
+    return (c.num, c.den) if isinstance(c, Cyclotomic) else ((c.numerator,), c.denominator)
+
+
 class Cyclotomic:
     """An element of Q(xi_n): num/den in the power basis 1, z, ..., z^(phi-1).
 
@@ -1037,6 +1062,32 @@ class RationalField:
         return _fr(c)
 
     @staticmethod
+    def lincomb(pairs: list) -> dict:
+        """The scaled-sum kernel: {key: sum of c * terms[key]} over a list of
+        (c, terms) pairs, each c a rational or a value of the field and each
+        terms a dict of nonzero values; zero sums are dropped and every value
+        is canonical.  Over Q a product is an integer numerator over L, the
+        lcm of the denominators so far, and each output is one
+        Fraction(sum, L)."""
+        if len(pairs) == 1 and pairs[0][0] == 1:  # nothing to multiply or add
+            return dict(pairs[0][1])
+        acc, den = {}, 1
+        get = acc.get
+        for c, terms in pairs:
+            if not c:
+                continue
+            cn, cd = c.numerator, c.denominator
+            for key, a in terms.items():
+                d = cd * a.denominator
+                if den % d:  # L grows: rescale the sums so far
+                    s = lcm(den, d) // den
+                    den *= s
+                    for k in acc:
+                        acc[k] *= s
+                acc[key] = get(key, 0) + cn * a.numerator * (den // d)
+        return {key: Fraction(v, den) for key, v in acc.items() if v}
+
+    @staticmethod
     def value_text(v: Fraction) -> str:
         return str(v)
 
@@ -1095,6 +1146,70 @@ class CyclotomicFieldTag:
     def from_fraction(self, c: Union[int, Fraction]) -> Cyclotomic:
         return Cyclotomic.constant(self.order, c)
 
+    def lincomb(self, pairs: list) -> dict:
+        """The scaled-sum kernel (see ``RationalField.lincomb``) over
+        Q(xi_n): a product is an integer vector over L.  A rational c scales
+        the phi coordinates; any other c convolves them into 2*phi - 1
+        (packed, when phi > 2), and each output is folded mod Phi_n once."""
+        if len(pairs) == 1 and pairs[0][0] == 1:  # nothing to multiply or add
+            return dict(pairs[0][1])
+        phi = self.phi
+        if phi > 2 and any(isinstance(c, Cyclotomic) and any(c.num[1:]) for c, _ in pairs):
+            return self._packed_lincomb(pairs)
+        acc, den, pad = {}, 1, []
+        get = acc.get
+        for c, terms in pairs:
+            if not c:
+                continue
+            cn, cd = _coords(c)
+            rational = not any(cn[1:])
+            if not rational and not pad:  # the sums grow to 2*phi - 1 coordinates
+                pad = [0] * (phi - 1)
+                for row in acc.values():
+                    row += pad
+            for key, a in terms.items():
+                d = cd * a.den
+                if den % d:  # L grows: rescale the sums so far
+                    s = lcm(den, d) // den
+                    den *= s
+                    for row in acc.values():
+                        row[:] = [x * s for x in row]
+                f, row = den // d, get(key)
+                if rational:
+                    f *= cn[0]
+                    if row is None:
+                        acc[key] = [x * f for x in a.num] + pad
+                    else:
+                        row[:phi] = [r + x * f for r, x in zip(row, a.num)]
+                    continue
+                if row is None:
+                    row = acc[key] = [0] * (2 * phi - 1)
+                for i, x in enumerate(cn):
+                    if x:
+                        x *= f
+                        row[i:i + phi] = [r + x * y for r, y in zip(row[i:i + phi], a.num)]
+        return {key: v for key, row in acc.items()
+                if (v := Cyclotomic._from_ints(self.order, row, den))}
+
+    def _packed_lincomb(self, pairs: list) -> dict:
+        """``lincomb`` with every vector Kronecker-packed at one width that
+        holds each unfolded sum, so that a convolution is one multiply."""
+        scaled = [(*_coords(c), terms) for c, terms in pairs if c]
+        den = lcm(*(cd * lcm(*{a.den for a in terms.values()}) for _, cd, terms in scaled))
+        # a digit of a sum is at most sum |c's coordinates| * L/cd * max |a_j|
+        width = _width(sum(
+            sum(map(abs, cn)) * (den // cd)
+            * max(map(abs, chain.from_iterable(a.num for a in terms.values())), default=0)
+            for cn, cd, terms in scaled))
+        acc: dict = {}
+        get = acc.get
+        for cn, cd, terms in scaled:
+            packed, scale = _pack(cn, width), den // cd
+            for key, a in terms.items():
+                acc[key] = get(key, 0) + _pack(a.num, width) * packed * (scale // a.den)
+        return {key: v for key, p in acc.items()
+                if (v := Cyclotomic._from_ints(self.order, _unpack(p, width), den))}
+
     @staticmethod
     def value_text(v: Cyclotomic) -> str:
         return v.to_text()
@@ -1130,6 +1245,25 @@ class GenericField:
     @staticmethod
     def from_fraction(c: Union[int, Fraction]) -> RatFunc:
         return RatFunc.constant(c)
+
+    @staticmethod
+    def lincomb(pairs: list) -> dict:
+        """The scaled-sum kernel (see ``RationalField.lincomb``) over Q(rho):
+        the packed values are added one product at a time, and c = 1 or
+        c = -1 multiplies nothing."""
+        out: dict = {}
+        for c, terms in pairs:
+            if type(c) is not RatFunc and (c == 1 or c == -1):
+                items = terms.items() if c == 1 else ((k, -a) for k, a in terms.items())
+            elif c:
+                items = ((k, a * c) for k, a in terms.items())
+            else:
+                continue
+            if out:
+                _accumulate(out, items)
+            else:  # one dict's keys are distinct and its products nonzero
+                out.update(items)
+        return out
 
     @staticmethod
     def value_text(v: RatFunc) -> str:
@@ -1216,7 +1350,7 @@ class RhoSpec:
         if self.kind == "generic":
             return ("g",)
         if self.kind == "rational":
-            return ("q", self.value)
+            return ("q", self.value.numerator, self.value.denominator)
         return ("x", self.order)
 
     def rho(self):

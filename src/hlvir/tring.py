@@ -1,6 +1,8 @@
 """The graded polynomial ring Q_F[t_1, t_2, ...] with deg t_r = r, plus
 linear operators on it (a finite term list and a grading sum
-sum_k k t_k d_{k+shift}) and the deformed power-sum inner product."""
+sum_k k t_k d_{k+shift}) and the deformed power-sum inner product.  A
+product of polynomials is one call of the field's scaled-sum kernel
+(``lincomb`` in ``exactnum``); other sums add one term at a time."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exactnum import FieldMismatchError, RhoSpec, signed_join
+from .exactnum import FieldMismatchError, RhoSpec, _accumulate, signed_join
 
 # A monomial is a tuple of (variable index, exponent) pairs, ascending index,
 # all exponents positive; () is the unit monomial.
@@ -76,21 +78,6 @@ def _sort_key(m: Mono, width: int):
 def _embed(field, c):
     """c as a value of field; an int or a Fraction is embedded."""
     return field.from_fraction(c) if isinstance(c, (int, Fraction)) else c
-
-
-def _accumulate(acc: dict, items) -> dict:
-    """Add (key, nonzero coefficient) pairs into acc; keys that cancel go."""
-    for k, c in items:
-        cur = acc.get(k)
-        if cur is None:
-            acc[k] = c
-        else:
-            cur = cur + c
-            if cur:
-                acc[k] = cur
-            else:
-                del acc[k]
-    return acc
 
 
 class Sparse:
@@ -255,8 +242,8 @@ class TPoly(Sparse):
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        return TPoly(self.field, _accumulate({}, (
-            (mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())))
+        return TPoly(self.field, self.field.lincomb(
+            [(c1, {mono_mul(m1, m2): c2 for m2, c2 in b.items()}) for m1, c1 in a.items()]))
 
     def __rmul__(self, other) -> "TPoly":
         return self.scale(other)

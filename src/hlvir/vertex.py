@@ -12,19 +12,22 @@ on u^m
 
 With B_m t^mu = 0 for m + |mu| < 0 and B_m 1 = E_m, this builds B_m on a
 monomial from entries one factor shorter: each entry is one shift by t_k
-of another plus a -1/k multiple of a third.  Everything here is exact over
-Q, Q(rho), or a cyclotomic field.
+of another plus a -1/k multiple of a third.  That step, E_j, B_m f as a
+sum over the monomials of f, and the expansion of a combination of Q's are
+each one call of the field's scaled-sum kernel (``lincomb`` in ``exactnum``).
+Everything here is exact over Q, Q(rho), or a cyclotomic field.
 """
 
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exactnum import FieldMismatchError, RhoSpec
-from .tring import (DegeneratePairingError, Mono, Sparse, TPoly, _accumulate,
-                    _embed, mono_degree, mono_mul_var)
+from .tring import (DegeneratePairingError, Mono, Sparse, TPoly, _embed, mono_degree,
+                    mono_mul_var)
 
 Label = tuple[int, ...]
 
@@ -36,16 +39,17 @@ class AdjointUndefinedError(DegeneratePairingError):
 # ---------------------------------------------------------------------------
 # caches
 
-_CACHES: list[dict] = []
+_CACHES: list[OrderedDict] = []
 _CACHE_ENABLED = True
 _CACHE_MAX: Optional[int] = None  # HLVIR_CACHE_MAX, read by the first write
 
 
-def _new_cache() -> dict:
+def _new_cache() -> OrderedDict:
     """A registered memo dict, the package's one kind of memo: written only
     through ``_cache_put`` (so ``--no-cache`` and ``HLVIR_CACHE_MAX`` apply)
-    and emptied by ``clear_caches``.  A full cache evicts its oldest entry."""
-    cache: dict = {}
+    and emptied by ``clear_caches``.  A full cache evicts its oldest entry,
+    in O(1)."""
+    cache: OrderedDict = OrderedDict()
     _CACHES.append(cache)
     return cache
 
@@ -81,11 +85,11 @@ def read_cache_max() -> int:
     return bound
 
 
-def _cache_put(cache: dict, key, value):
+def _cache_put(cache: OrderedDict, key, value):
     if _CACHE_ENABLED:
         bound = _CACHE_MAX or read_cache_max()
         while cache and len(cache) >= bound:
-            del cache[next(iter(cache))]  # dicts keep insertion order
+            cache.popitem(last=False)
         cache[key] = value
     return value
 
@@ -96,27 +100,23 @@ def _cache_put(cache: dict, key, value):
 def one_row(i: int, rho: RhoSpec) -> TPoly:
     """E_i = Q_{(i)}, from j*E_j = sum_{k=1}^{j} k (1 - rho^k) t_k E_{j-k},
     built up from E_0 through every E_j not cached yet (as the B_j 1 entry)."""
-    field = rho.field
+    field, rho_key = rho.field, rho.key
     if i < 0:
         return TPoly.zero(field)
     if i == 0:
-        return _cache_put(_B_CACHE, (rho.key, 0, ()), TPoly.one(field))
-    hit = _B_CACHE.get((rho.key, i, ()))
+        return _cache_put(_B_CACHE, (rho_key, 0, ()), TPoly.one(field))
+    hit = _B_CACHE.get((rho_key, i, ()))
     if hit is not None:
         return hit
     rows = [TPoly.one(field)]
     for j in range(1, i + 1):
-        key = (rho.key, j, ())
+        key = (rho_key, j, ())
         row = _B_CACHE.get(key)
         if row is None:
-            row = TPoly.zero(field)
-            for k in range(1, j + 1):
-                factor = rho.one_minus_rho_pow(k)
-                if not factor:
-                    continue
-                scalar = factor * field.from_fraction(Fraction(k, j))
-                row = row + rows[j - k].mul_var(k, scalar)
-            _cache_put(_B_CACHE, key, row)
+            row = _cache_put(_B_CACHE, key, TPoly(field, field.lincomb([
+                (rho.one_minus_rho_pow(k) * Fraction(k, j),
+                 {mono_mul_var(mo, k): a for mo, a in rows[j - k].terms.items()})
+                for k in range(1, j + 1)])))
         rows.append(row)
     return rows[i]
 
@@ -130,13 +130,13 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> TPoly:
     that many monomials share.  A loop: each entry (j, nu) met is built once,
     kept in ``done`` (a memo that the caller shares between the monomials of
     one polynomial, so ``--no-cache`` stays polynomial) and cached."""
-    field = rho.field
+    field, rho_key = rho.field, rho.key
     todo = [(m, mono)]
     while todo:
         entry = j, mu = todo.pop()
         if entry in done:
             continue
-        key = (rho.key, j, mu)
+        key = (rho_key, j, mu)
         out = _B_CACHE.get(key)
         if out is None and j + mono_degree(mu) < 0:
             out = TPoly.zero(field)
@@ -149,10 +149,8 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> TPoly:
             if need:
                 todo += [entry] + need
                 continue
-            terms = {mono_mul_var(mo, k): c for mo, c in done[j, nu].terms.items()}
-            high, w = done[j + k, nu].terms.items(), Fraction(-1, k)
-            _accumulate(terms, ((mo, -c) for mo, c in high) if k == 1
-                        else ((mo, c * w) for mo, c in high))
+            shifted = {mono_mul_var(mo, k): c for mo, c in done[j, nu].terms.items()}
+            terms = field.lincomb([(1, shifted), (Fraction(-1, k), done[j + k, nu].terms)])
             out = _cache_put(_B_CACHE, key, TPoly(field, terms))
         done[entry] = out
     return done[m, mono]
@@ -162,12 +160,9 @@ def apply_B(m: int, f: TPoly, rho: RhoSpec) -> TPoly:
     """Apply the row operator B_m to f, linearly over its monomials."""
     if f.field is not rho.field:
         raise FieldMismatchError("apply_B needs f over rho's coefficient field")
-    out: dict = {}
     done: dict = {}
-    for mono, c in f.terms.items():
-        b = _apply_b_mono(rho, m, mono, done)
-        _accumulate(out, ((mo, a * c) for mo, a in b.terms.items()))
-    return TPoly(f.field, out)
+    return TPoly(f.field, rho.field.lincomb(
+        [(c, _apply_b_mono(rho, m, mono, done).terms) for mono, c in f.terms.items()]))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +177,7 @@ def hl_q(label: Iterable[int], rho: RhoSpec) -> TPoly:
     longer one it builds.
     """
     label = tuple(int(x) for x in label)
-    field = rho.field
+    field, rho_key = rho.field, rho.key
     tail = 0
     for x in reversed(label):
         tail += x
@@ -191,12 +186,12 @@ def hl_q(label: Iterable[int], rho: RhoSpec) -> TPoly:
     start = len(label)
     out = TPoly.one(field)
     for j in range(len(label)):
-        hit = _Q_CACHE.get((rho.key, label[j:]))
+        hit = _Q_CACHE.get((rho_key, label[j:]))
         if hit is not None:
             start, out = j, hit
             break
     for j in range(start - 1, -1, -1):
-        out = _cache_put(_Q_CACHE, (rho.key, label[j:]), apply_B(label[j], out, rho))
+        out = _cache_put(_Q_CACHE, (rho_key, label[j:]), apply_B(label[j], out, rho))
     return out
 
 
@@ -245,10 +240,8 @@ class QCombination(Sparse):
         """Expand every Q_label into the t-polynomial ring."""
         if self.field is not rho.field:
             raise FieldMismatchError("combination field does not match rho")
-        out: dict = {}
-        for label, c in self.canonical_items():
-            _accumulate(out, ((mo, a * c) for mo, a in hl_q(label, rho).terms.items()))
-        return TPoly(self.field, out)
+        return TPoly(self.field, self.field.lincomb(
+            [(c, hl_q(label, rho).terms) for label, c in self.canonical_items()]))
 
     # -- key hooks: labels sorted by length, then descending lexicographically
 

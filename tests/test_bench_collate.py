@@ -51,7 +51,7 @@ def test_collate_two_sides(tmp_path, monkeypatch):
     assert swept == [(body, side) for body in tool.SWEEPS.values()
                      for _ in range(tool.REPEATS) for side in ("parent", "change")]
     assert set(record["sides"]["change"]["sweeps"]) == set(tool.SWEEPS)
-    assert "exchange_rational" in tool.SWEEPS
+    assert {"exchange_rational", "t1_2_xi5"} <= set(tool.SWEEPS)
     first = record["sides"]["change"]["sweeps"]["c7_generic_sweep"]
     assert first == {"seconds": [2.0, 4.0, 6.0], "host_scale": [2.0, 2.0, 2.0],
                      "median_s": 4.0, "scaled_median_s": 8.0, "cases": 3, "failed": 0}
@@ -70,3 +70,26 @@ def test_collate_two_sides(tmp_path, monkeypatch):
     assert cmp["iqr_before"] == 2.5 and cmp["gap"] == 4.0
     # setup_s is equal in every pair: no wins for "lower is better"
     assert record["comparison"]["generic-rho"]["setup_s"]["wins"] == 0
+
+
+def test_xi5_sweep_checks_t1_2_on_every_small_partition(monkeypatch):
+    """The t1_2_xi5 body, run with a stand-in verify_case: T1.2 at n = 5,
+    m = 1 on each of the 30 partitions of size at most 6."""
+    from hlvir import virasoro
+    from hlvir.structure import partitions
+
+    tool = _load_tool()
+    seen = []
+
+    class Verdict:
+        equal = True
+
+    def fake_verify(case):
+        seen.append(case)
+        return Verdict()
+    monkeypatch.setattr(virasoro, "verify_case", fake_verify)
+    scope = {"clock": lambda: 0.0}
+    exec(tool.SWEEPS["t1_2_xi5"], scope)
+    assert (scope["cases"], scope["failed"]) == (30, 0)
+    assert [(c.id, c.n, c.m) for c in seen] == [("T1.2", 5, 1)] * 30
+    assert [c.lam for c in seen] == [lam for size in range(7) for lam in partitions(size)]

@@ -453,3 +453,77 @@ def test_field_value_text():
     assert k.value_text(k.from_fraction(Fraction(-1, 2))) == "-1/2"
     z = Cyclotomic.generator(4)
     assert k.value_text(k.from_fraction(Fraction(1, 2)) + z) == "1/2 + 1*z"
+
+
+# -- the fields' scaled-sum kernel
+
+# large coprime denominators next to small ones: lcm sizes far past a word
+BIG_DENS = [1, 2, 3, 7, 1_000_003, 998_244_353, 2 ** 61 - 1]
+kernel_rationals = fractions | st.builds(
+    Fraction, st.integers(-10 ** 6, 10 ** 6), st.sampled_from(BIG_DENS))
+KERNEL_FIELDS = [QQ] + [cyclotomic_field(n) for n in (2, 3, 4, 5, 7, 9, 12)] + [GENERIC]
+
+
+def _kernel_values(field):
+    if field is QQ:
+        return kernel_rationals
+    if field is GENERIC:
+        return ratfuncs | kernel_rationals.map(RatFunc.constant)
+    return st.lists(kernel_rationals, min_size=field.phi, max_size=field.phi).map(
+        lambda cs: Cyclotomic.make(field.order, cs))
+
+
+@st.composite
+def _kernel_cases(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    values = _kernel_values(field)
+    scalars = values | kernel_rationals | st.sampled_from([0, 1, -1])
+    terms = st.dictionaries(st.integers(0, 5), values.filter(bool), max_size=5)
+    pairs = draw(st.lists(st.tuples(scalars, terms), max_size=4))
+    # -c * terms cancels c * terms: every key of a fully cancelled sum must go
+    cancel = draw(st.sampled_from(["none", "first", "all"]))
+    if pairs and cancel == "first":
+        pairs.append((-pairs[0][0], pairs[0][1]))
+    elif cancel == "all":
+        pairs += [(-c, t) for c, t in pairs]
+    return field, pairs, cancel
+
+
+@settings(max_examples=250, deadline=None)
+@given(_kernel_cases())
+def test_lincomb_matches_the_naive_sum(case):
+    field, pairs, cancel = case
+    want: dict = {}
+    for c, terms in pairs:
+        for k, a in terms.items():
+            want[k] = want.get(k, field.zero) + a * c
+    want = {k: v for k, v in want.items() if v}
+    got = field.lincomb(pairs)
+    assert got == want
+    assert all(got.values())
+    if cancel == "all":
+        assert got == {}
+    for v in got.values():  # canonical values of the field
+        if field is QQ:
+            assert isinstance(v, Fraction)
+        elif field is not GENERIC:
+            assert len(v.num) == field.phi and v.den > 0 and gcd(v.den, *v.num) == 1
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name)
+def test_lincomb_small_cases(field):
+    one, two = field.from_fraction(1), field.from_fraction(Fraction(2, 1_000_003))
+    assert field.lincomb([]) == {}
+    assert field.lincomb([(1, {})]) == {}
+    assert field.lincomb([(0, {"a": one})]) == {}
+    assert field.lincomb([(Fraction(1, 2), {"a": two})]) == {"a": two * Fraction(1, 2)}
+    assert field.lincomb([(3, {"a": one, "b": two}), (-3, {"a": one})]) == {"b": two * 3}
+    if field is not QQ and field is not GENERIC and field.phi > 1:
+        z = Cyclotomic.generator(field.order)
+        # z * z^(phi-1) = z^phi reduces mod Phi_n
+        top = z ** (field.phi - 1)
+        assert field.lincomb([(z, {"a": top})]) == {"a": z * top}
+        assert field.lincomb([(z, {"a": top}), (-z, {"a": top})]) == {}
+        # a rational c before and after one that convolves
+        pairs = [(2, {"a": top, "b": two}), (z, {"a": top}), (Fraction(1, 3), {"a": two})]
+        assert field.lincomb(pairs) == {"a": top * 2 + z * top + two / 3, "b": two * 2}

@@ -2,6 +2,7 @@
 operators.  The one-row polynomials are cross-checked against a directly
 expanded exponential generating function."""
 
+from collections import OrderedDict
 from fractions import Fraction
 from math import factorial
 
@@ -281,6 +282,24 @@ def test_full_cache_evicts_its_oldest_entry(monkeypatch):
         clear_caches()
 
 
+def test_cache_keeps_its_bound_and_drops_its_oldest_key_first(monkeypatch):
+    monkeypatch.setenv("HLVIR_CACHE_MAX", "4")
+    monkeypatch.setattr(vertex, "_CACHE_MAX", None)  # read the bound again
+    cache = OrderedDict()
+    for k in range(12):
+        vertex._cache_put(cache, k, k)
+        assert list(cache) == list(range(max(0, k - 3), k + 1))
+    clear_caches()
+    try:
+        for lam in partitions(6):
+            hl_q(lam, RhoSpec.rational(2))
+            assert all(len(cache) <= 4 for cache in vertex._CACHES)
+        # the last label's own suffixes went in last
+        assert list(vertex._Q_CACHE)[-2:] == [(RhoSpec.rational(2).key, (1,) * k) for k in (5, 6)]
+    finally:
+        clear_caches()
+
+
 def test_cache_toggle_preserves_results():
     x2 = RhoSpec.root(2)
     with_cache = hl_q((3, 2, 1), x2)
@@ -295,24 +314,25 @@ def test_cache_toggle_preserves_results():
 
 
 def test_one_row_without_cache_builds_each_row_once(monkeypatch):
-    # E_j needs one mul_var per k <= j, so E_1..E_20 take at most 210
+    # E_j is one field sum of a term per k <= j, so E_1..E_20 take 20 sums
+    # of 210 terms in all
     calls = []
-    mul_var = TPoly.mul_var
+    lincomb = QQ.lincomb
 
-    def counted(self, *args):
-        calls.append(args)
-        return mul_var(self, *args)
+    def counted(pairs):
+        calls.append(len(pairs))
+        return lincomb(pairs)
 
     clear_caches()
     want = one_row(20, RHO_ZERO)
     clear_caches()
-    monkeypatch.setattr(TPoly, "mul_var", counted)
+    monkeypatch.setattr(QQ, "lincomb", counted)
     set_cache_enabled(False)
     try:
         got = one_row(20, RHO_ZERO)
     finally:
         set_cache_enabled(True)
-    assert len(calls) <= 210
+    assert len(calls) == 20 and sum(calls) == 210
     assert got == want
 
 

@@ -15,7 +15,9 @@ is set against the parent's interquartile range (quartiles as
 
 It also times the heavy sweeps the benchmark leaves out, each in a fresh
 interpreter (cold caches): the criterion-7 straightening sweep at generic
-rho and criterion 11's ``Exchange`` grid at generic rho and at rho = 2.
+rho, criterion 11's ``Exchange`` grid at generic rho and at rho = 2, and
+``T1.2`` at xi_5 (n = 5, m = 1) on every partition of size at most 6, a
+field with phi(5) = 4.
 Each sweep runs REPEATS times per side, parent and change alternating, and
 ``perfbench/run.py``'s reference loop is timed just before and just after
 every run.  The record keeps every sample, its host scale (REFERENCE_S over
@@ -69,6 +71,14 @@ cases = len(labels)
     "exchange_generic": "from hlvir.exactnum import RHO_GENERIC as rho" + _EXCHANGE,
     "exchange_rational": "from hlvir.exactnum import RhoSpec\nrho = RhoSpec.rational(2)"
                          + _EXCHANGE,
+    "t1_2_xi5": """
+from hlvir.structure import partitions
+from hlvir.virasoro import TheoremCase, verify_case
+lams = [lam for size in range(7) for lam in partitions(size)]
+t0 = clock()
+oks = [verify_case(TheoremCase("T1.2", n=5, m=1, lam=lam)).equal for lam in lams]
+cases, failed = len(oks), oks.count(False)
+""",
 }
 
 _SWEEP_WRAPPER = """
