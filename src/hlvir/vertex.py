@@ -114,9 +114,9 @@ def one_row(i: int, rho: RhoSpec) -> TPoly:
         row = _B_CACHE.get(key)
         if row is None:
             row = _cache_put(_B_CACHE, key, TPoly(field, field.lincomb([
-                (rho.one_minus_rho_pow(k) * Fraction(k, j),
+                (f * Fraction(k, j),
                  {mono_mul_var(mo, k): a for mo, a in rows[j - k].terms.items()})
-                for k in range(1, j + 1)])))
+                for k in range(1, j + 1) if (f := rho.one_minus_rho_pow(k))])))
         rows.append(row)
     return rows[i]
 

@@ -1,6 +1,7 @@
 """Exact arithmetic layers: rational polynomials in one symbol, cyclotomic
 numbers, rational functions, and specialization at roots of unity."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -9,11 +10,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlvir.exactnum import (_UP_ONE, GENERIC, QQ, RATFUNC_RHO, UNIPOLY_X,
-                            Cyclotomic, PoleError, RatFunc, RhoSpec, UniPoly,
-                            _pack, _unpack, _width,
+from hlvir.exactnum import (GENERIC, QQ, Cyclotomic, FieldMismatchError, PoleError, RhoSpec,
                             cyclotomic_field, cyclotomic_poly, euler_phi,
                             specialize_at_rational, specialize_at_root)
+from hlvir.rhopoly import (_UP_ONE, RATFUNC_RHO, UNIPOLY_X, RatFunc, UniPoly, _pack, _unpack,
+                           _width)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -328,6 +329,17 @@ def test_cyclotomic_rational_detection():
     z = Cyclotomic.generator(3)
     v = z + z * z
     assert v.is_rational() and v.rational_value() == -1
+
+
+@pytest.mark.parametrize("rho_value", [UNIPOLY_X, RATFUNC_RHO])
+def test_rho_values_and_cyclotomics_do_not_mix(rho_value):
+    z = Cyclotomic.generator(5)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatchError):
+            op(rho_value, z)
+        with pytest.raises(FieldMismatchError):
+            op(z, rho_value)
+    assert rho_value != z and z != rho_value
 
 
 # -- rational functions and specialization
