@@ -13,7 +13,7 @@ plus the specialization maps that send a rational function to its exact value
 point.  ``RhoSpec`` bundles the choice of specialization with its field.
 
 Each field tag owns one scaled-sum kernel, ``lincomb``: the sum of c * terms
-over (c, terms) pairs, in integers over one growing denominator and normalized
+over (c, terms) pairs, in integers over one common denominator and normalized
 once per output key over Q and Q(xi_n), one product at a time over Q(rho).
 """
 
