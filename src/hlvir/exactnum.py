@@ -3,8 +3,9 @@
 Three coefficient fields, all exact (no floating point anywhere):
 
 * Q               -- stdlib ``fractions.Fraction``
-* Q(xi_n)         -- ``Cyclotomic``: the cyclotomic field of order n, elements
-                     reduced modulo the n-th cyclotomic polynomial
+* Q(xi_n)         -- ``Cyclotomic``: the cyclotomic field of order n, each
+                     element a packed ``rhopoly.UniPoly`` reduced modulo the
+                     n-th cyclotomic polynomial
 * Q(rho)          -- ``RatFunc``: rational functions in one indeterminate rho,
                      packed (``rhopoly``; re-exported here)
 
@@ -13,8 +14,9 @@ plus the specialization maps that send a rational function to its exact value
 point.  ``RhoSpec`` bundles the choice of specialization with its field.
 
 Each field tag owns one scaled-sum kernel, ``lincomb``: the sum of c * terms
-over (c, terms) pairs, in integers over one common denominator and normalized
-once per output key over Q and Q(xi_n), one product at a time over Q(rho).
+over (c, terms) pairs, normalized once per output key over Q (integers over
+one denominator) and Q(xi_n) (packed, folded once), one product at a time
+over Q(rho).
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Union
 
-from .rhopoly import (RATFUNC_RHO, FieldMismatchError, RatFunc, UniPoly, _fr, _pack,
-                      _parse_power_term, _split_signed_terms, _unpack, _UP_ONE, _width,
-                      signed_join)
+from .rhopoly import (RATFUNC_RHO, FieldMismatchError, RatFunc, UniPoly, _fr, _up_add,
+                      _up_fold, _up_lincomb, _up_mul, _UP_ONE, signed_join)
 
 
 class PoleError(ArithmeticError):
@@ -83,238 +83,152 @@ def cyclotomic_poly(n: int) -> UniPoly:
     return num
 
 
-def _fold(cs: list[int], phi: int, rows) -> list[int]:
-    """Reduce the integer vector cs (len(cs) - phi <= len(rows)) mod Phi_n."""
-    out = cs[:phi]
-    for c, row in zip(cs[phi:], rows):
-        if c:
-            out = [x + c * r for x, r in zip(out, row)]
-    return out
-
-
-def _coords(c) -> tuple:
-    """(integer coordinates, denominator) of a Cyclotomic or a rational."""
-    return (c.num, c.den) if isinstance(c, Cyclotomic) else ((c.numerator,), c.denominator)
-
-
 class Cyclotomic:
-    """An element of Q(xi_n): num/den in the power basis 1, z, ..., z^(phi-1).
+    """An element of Q(xi_n): ``poly``, the rhopoly ``UniPoly`` of degree
+    < phi(n) that represents it mod Phi_n, in the power basis 1, z, ...,
+    z^(phi-1).
 
-    ``num`` is a tuple of phi integers and ``den`` a positive integer with
-    gcd(num..., den) = 1 (zero is all zeros over 1), so every element has
-    exactly one representation.  Immutable and hashable.
+    That representative is unique, so truth, ``==``, ``hash`` and text are
+    ``poly``'s.  Sums are rhopoly's packed sums; a product is one packed
+    multiply, folded mod Phi_n (``_up_fold``) when its degree reaches phi.
+    Immutable and hashable.
     """
 
-    __slots__ = ("order", "num", "den")
+    __slots__ = ("order", "poly")
 
-    def __init__(self, order: int, num: tuple[int, ...], den: int):
-        # assumes normalized input; use the constructors below
+    def __init__(self, order: int, poly: UniPoly):
+        # assumes poly.degree < phi(order); use the constructors below
         self.order = order
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def _make(order: int, num: list[int], den: int) -> "Cyclotomic":
-        """Normalize phi integer coordinates over a positive denominator."""
-        if den == 1:
-            return Cyclotomic(order, tuple(num), 1)
-        g = gcd(den, *num)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
-        return Cyclotomic(order, tuple(num), den)
-
-    @staticmethod
-    def _from_ints(order: int, num: list[int], den: int) -> "Cyclotomic":
-        """num/den for integer coordinates of any length, reduced mod Phi_n."""
-        field = cyclotomic_field(order)
-        phi = field.phi
-        if len(num) > order:  # z^n = 1
-            wrapped = num[:order]
-            for j in range(order, len(num)):
-                wrapped[j % order] += num[j]
-            num = wrapped
-        if len(num) > phi:
-            num = _fold(num, phi, field.rows)
-        else:
-            num = num + [0] * (phi - len(num))
-        return Cyclotomic._make(order, num, den)
+        self.poly = poly
 
     @staticmethod
     def make(order: int, coords) -> "Cyclotomic":
-        cs = [_fr(c) for c in coords]
-        den = lcm(*(c.denominator for c in cs))
-        return Cyclotomic._from_ints(
-            order, [c.numerator * (den // c.denominator) for c in cs], den)
+        """sum_k coords[k] z^k for rational coordinates of any length."""
+        return Cyclotomic(order, UniPoly.from_fractions(coords) % cyclotomic_field(order).modulus)
 
     @staticmethod
     def constant(order: int, c: Union[int, Fraction]) -> "Cyclotomic":
-        return Cyclotomic(order, (c.numerator,) + (0,) * (cyclotomic_field(order).phi - 1),
-                          c.denominator)
+        return Cyclotomic(order, UniPoly.constant(c))
 
     @staticmethod
     def generator(order: int) -> "Cyclotomic":
         """xi_n = z mod Phi_n."""
-        return Cyclotomic._from_ints(order, [0, 1], 1)
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
+        return cyclotomic_field(order).powers[1 % order]
 
     def __bool__(self) -> bool:
-        return any(self.num)
+        return bool(self.poly)
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return self.poly.is_constant()
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return Fraction(self.num[0], self.den)
+        return self.poly.coefficient(0)
 
-    def _coerce(self, other):
+    def _operand(self, other) -> Optional[UniPoly]:
+        """The poly of a value of this field, or None for a foreign type."""
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
                 raise FieldMismatchError(
                     f"cyclotomic orders differ: {self.order} vs {other.order}")
-            return other
+            return other.poly
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic.constant(self.order, other)
+            return UniPoly.constant(other)
         if isinstance(other, (UniPoly, RatFunc)):
             raise FieldMismatchError("cannot mix cyclotomic and rational-function values")
         return None
 
-    @staticmethod
-    def _combine(a: "Cyclotomic", b: "Cyclotomic", sign: int) -> "Cyclotomic":
-        """a + sign * b.  Calls no arithmetic operator, so that an
-        instrumented ``__add__`` counts only the additions callers make."""
-        if a.den == b.den:
-            if sign > 0:
-                n = [x + y for x, y in zip(a.num, b.num)]
-            else:
-                n = [x - y for x, y in zip(a.num, b.num)]
-            return Cyclotomic._make(a.order, n, a.den)
-        L = lcm(a.den, b.den)
-        fa, fb = L // a.den, sign * (L // b.den)
-        return Cyclotomic._make(a.order, [x * fa + y * fb for x, y in zip(a.num, b.num)], L)
+    # Sums and products go straight to rhopoly's kernels, so that an
+    # instrumented ``__add__`` or ``__mul__`` counts only the calls callers make.
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._combine(self, o, 1)
+        return Cyclotomic(self.order, _up_add(self.poly, o, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.num), self.den)
+        return Cyclotomic(self.order, -self.poly)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._combine(self, o, -1)
+        return Cyclotomic(self.order, _up_add(self.poly, o, -1))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._combine(o, self, -1)
+        return Cyclotomic(self.order, _up_add(o, self.poly, -1))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b = self.num, o.num
-        if not any(a[1:]):
-            a, b = b, a
-        if not any(b[1:]):  # a rational factor: scale the other one
-            c = b[0]
-            return Cyclotomic._make(self.order, [x * c for x in a], self.den * o.den)
-        phi = len(a)
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                conv[i:i + phi] = [c + x * y for c, y in zip(conv[i:i + phi], b)]
-        rows = cyclotomic_field(self.order).rows
-        return Cyclotomic._make(self.order, _fold(conv, phi, rows), self.den * o.den)
+        p = _up_mul(self.poly, o)
+        field = cyclotomic_field(self.order)
+        if p.degree >= field.phi:
+            p = _up_fold(p, field.phi, field.rows)
+        return Cyclotomic(self.order, p)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        if self.is_zero():
+        """By extended Euclid against Phi_n, whose cofactor of a poly of
+        degree < phi already has degree < phi."""
+        if not self.poly:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        Phi = cyclotomic_field(self.order).modulus
-        a = UniPoly.from_ints(self.num, self.den)
-        g, s, _ = a.xgcd(Phi)
+        g, s, _ = self.poly.xgcd(cyclotomic_field(self.order).modulus)
         if g.degree != 0:
             raise ZeroDivisionError("element not invertible (unexpected)")
-        rem = s % Phi  # g is monic, so g == 1
-        return Cyclotomic._from_ints(self.order, *rem._reduced())
+        return Cyclotomic(self.order, s)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * Cyclotomic(self.order, o).inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return Cyclotomic(self.order, o) * self.inverse()
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = Cyclotomic.constant(self.order, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return Cyclotomic(self.order, self.poly ** e % cyclotomic_field(self.order).modulus)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return (self.is_rational() and self.num[0] == other.numerator
-                    and self.den == other.denominator)
+            return self.poly == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return (self.order == other.order and self.num == other.num
-                and self.den == other.den)
+        return self.order == other.order and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.order, self.num, self.den))
+        return hash((self.order, self.poly))
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self.to_text()})"
 
     def to_text(self) -> str:
         terms = []
-        for k, c in enumerate(self.num):
-            if c == 0:
-                continue
-            mag = Fraction(abs(c), self.den)
-            if k == 0:
-                body = str(mag)
-            else:
-                zs = "z" if k == 1 else f"z^{k}"
-                body = f"{mag}*{zs}"
-            terms.append((c < 0, body))
+        for k, c in enumerate(self.poly.coefficients):
+            if c:
+                mag = abs(c)
+                body = str(mag) if k == 0 else f"{mag}*{'z' if k == 1 else f'z^{k}'}"
+                terms.append((c < 0, body))
         return signed_join(terms)
 
     @staticmethod
     def parse(order: int, text: str) -> "Cyclotomic":
-        text = text.strip()
-        if text == "0":
-            return Cyclotomic.constant(order, 0)
-        coords: dict[int, Fraction] = {}
-        for sign, tok in _split_signed_terms(text):
-            coeff, power = _parse_power_term(tok, "z")
-            coords[power] = coords.get(power, Fraction(0)) + sign * coeff
-        size = max(coords) + 1 if coords else 1
-        return Cyclotomic.make(order, [coords.get(i, Fraction(0)) for i in range(size)])
+        return Cyclotomic(order, UniPoly.parse(text, "z") % cyclotomic_field(order).modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +254,7 @@ def specialize_at_root(f: Union[RatFunc, UniPoly], n: int) -> Cyclotomic:
                 num, den = nq, dq  # common factor Phi_n: cancel and retry
                 continue
             raise PoleError(f"pole at xi_{n}")
-        a = Cyclotomic._from_ints(n, *nr._reduced())
-        b = Cyclotomic._from_ints(n, *dr._reduced())
-        return a / b
+        return Cyclotomic(n, nr) / Cyclotomic(n, dr)
 
 
 def specialize_at_rational(f: Union[RatFunc, UniPoly], r: Union[int, Fraction]) -> Fraction:
@@ -433,8 +345,7 @@ class CyclotomicFieldTag:
     The tag carries the constants of the field: ``phi`` = phi(n), the
     ``modulus`` Phi_n, the integer ``rows`` z^j mod Phi_n for
     phi <= j <= max(2*phi - 2, n - 1), enough to fold a product of two
-    reduced elements, or any vector already wrapped by z^n = 1, and the
-    ``powers`` xi^k for 0 <= k < n.
+    reduced elements, and the ``powers`` xi^k for 0 <= k < n.
     """
 
     def __init__(self, order: int):
@@ -444,7 +355,7 @@ class CyclotomicFieldTag:
         self.phi = phi = euler_phi(order)
         self.modulus = cyclotomic_poly(order)
         # Phi_n is monic with integer coefficients, so every row is integral
-        base = [-c for c in self.modulus._reduced()[0][:phi]]  # z^phi = -(Phi_n - z^phi)
+        base = [-int(c) for c in self.modulus.coefficients[:phi]]  # z^phi = -(Phi_n - z^phi)
         rows = []
         row = base
         for _ in range(max(phi - 1, order - phi)):
@@ -454,11 +365,11 @@ class CyclotomicFieldTag:
             if top:
                 row = [x + top * b for x, b in zip(row, base)]
         self.rows = tuple(rows)
-        # not Cyclotomic.constant: it reads this tag, which is not interned yet
-        units = [(0,) * k + (1,) + (0,) * (phi - 1 - k) for k in range(phi)]
-        self.powers = tuple(Cyclotomic(order, num, 1)
-                            for num in units + rows[:order - phi])
-        self.zero = Cyclotomic(order, (0,) * phi, 1)
+        # not Cyclotomic.generator: it reads this tag, which is not interned yet
+        self.powers = tuple(Cyclotomic(order, p) for p in
+                            [UniPoly.x_pow(k) for k in range(phi)]
+                            + [UniPoly.from_ints(r) for r in rows[:order - phi]])
+        self.zero = Cyclotomic.constant(order, 0)
         self.one = self.powers[0]
 
     def from_fraction(self, c: Union[int, Fraction]) -> Cyclotomic:
@@ -466,71 +377,15 @@ class CyclotomicFieldTag:
 
     def lincomb(self, pairs: list) -> dict:
         """The scaled-sum kernel (see ``RationalField.lincomb``) over
-        Q(xi_n): a product is an integer vector over L.  A rational c scales
-        the phi coordinates; any other c convolves them into 2*phi - 1, and
-        each output is folded mod Phi_n once.  When phi > 2 the convolutions
-        are packed (``_packed_lincomb``); at phi <= 2 a convolution has at
-        most 3 terms and packing costs more than it saves."""
+        Q(xi_n): rhopoly's ``_up_lincomb`` adds the packed products of the
+        polys and folds each sum mod Phi_n, with its content reduced, once."""
         if len(pairs) == 1 and pairs[0][0] == 1:  # nothing to multiply or add
             return dict(pairs[0][1])
-        phi = self.phi
-        if phi > 2 and any(isinstance(c, Cyclotomic) and any(c.num[1:]) for c, _ in pairs):
-            return self._packed_lincomb(pairs)
-        acc, den, pad = {}, 1, []
-        get = acc.get
-        for c, terms in pairs:
-            if not c:
-                continue
-            cn, cd = _coords(c)
-            rational = not any(cn[1:])
-            if not rational and not pad:  # the sums grow to 2*phi - 1 coordinates
-                pad = [0] * (phi - 1)
-                for row in acc.values():
-                    row += pad
-            for key, a in terms.items():
-                d = cd * a.den
-                if den % d:  # L grows: rescale the sums so far
-                    s = lcm(den, d) // den
-                    den *= s
-                    for row in acc.values():
-                        row[:] = [x * s for x in row]
-                f, row = den // d, get(key)
-                if rational:
-                    f *= cn[0]
-                    if row is None:
-                        acc[key] = [x * f for x in a.num] + pad
-                    else:
-                        row[:phi] = [r + x * f for r, x in zip(row, a.num)]
-                    continue
-                if row is None:
-                    row = acc[key] = [0] * (2 * phi - 1)
-                for i, x in enumerate(cn):
-                    if x:
-                        x *= f
-                        row[i:i + phi] = [r + x * y for r, y in zip(row[i:i + phi], a.num)]
-        return {key: v for key, row in acc.items()
-                if (v := Cyclotomic._from_ints(self.order, row, den))}
-
-    def _packed_lincomb(self, pairs: list) -> dict:
-        """``lincomb`` with every vector Kronecker-packed at one width that
-        holds each unfolded sum, so that a convolution is one multiply.  The
-        width bounds the final sums, so L is taken over all pairs first
-        rather than grown as in the list path."""
-        scaled = [(*_coords(c), terms) for c, terms in pairs if c]
-        den = lcm(*(cd * lcm(*{a.den for a in terms.values()}) for _, cd, terms in scaled))
-        # a digit of a sum is at most sum |c's coordinates| * L/cd * max |a_j|
-        width = _width(sum(
-            sum(map(abs, cn)) * (den // cd)
-            * max(map(abs, chain.from_iterable(a.num for a in terms.values())), default=0)
-            for cn, cd, terms in scaled))
-        acc: dict = {}
-        get = acc.get
-        for cn, cd, terms in scaled:
-            packed, scale = _pack(cn, width), den // cd
-            for key, a in terms.items():
-                acc[key] = get(key, 0) + _pack(a.num, width) * packed * (scale // a.den)
-        return {key: v for key, p in acc.items()
-                if (v := Cyclotomic._from_ints(self.order, _unpack(p, width), den))}
+        sums = _up_lincomb(((c.poly if isinstance(c, Cyclotomic) else c,
+                             ((key, a.poly) for key, a in terms.items()))
+                            for c, terms in pairs if c), self.phi, self.rows)
+        order = self.order
+        return {key: Cyclotomic(order, v) for key, v in sums.items()}
 
     @staticmethod
     def value_text(v: Cyclotomic) -> str:
@@ -544,7 +399,7 @@ class CyclotomicFieldTag:
 
     @staticmethod
     def split_sign(v: Cyclotomic):
-        if v.is_rational() and v.num[0] < 0:
+        if v.is_rational() and v.rational_value() < 0:
             return -1, -v
         return 1, v
 

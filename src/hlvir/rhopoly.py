@@ -4,9 +4,10 @@ A rho-polynomial (``UniPoly``, and so both halves of a ``RatFunc``) is one
 packed Python int over an integer denominator, the Kronecker substitution
 rho -> 2^B; its arithmetic is big-int arithmetic, and its coefficient vector
 is unpacked only where text, a hash, division or a specialization needs it
-(see ``UniPoly``).  This module alone knows that format; ``_pack``,
-``_unpack`` and ``_width`` also serve the Q(xi_n) kernel in ``exactnum``,
-which re-exports what other modules use from here.
+(see ``UniPoly``).  This module alone knows that format.  ``exactnum``
+builds on it: a Q(xi_n) value is a UniPoly of degree < phi(n), summed and
+multiplied by the kernels here and reduced mod Phi_n by ``_up_fold``;
+``exactnum`` re-exports what other modules use from here.
 """
 
 from __future__ import annotations
@@ -70,16 +71,16 @@ def _pack(cs, width: int) -> int:
 
 def _unpack(p: int, width: int) -> list[int]:
     """The signed base-2^width digits of p, lowest first: the inverse of
-    ``_pack``.  Adding 2^(width-1) to every digit makes them all
-    nonnegative, so they can be cut out of the bytes of one int."""
-    if not p:
-        return []
-    n = p.bit_length() // width + 1  # a nonzero top digit sets the length
-    k = width // 8
-    half = 1 << (width - 1)
-    u = p + int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
-    raw = u.to_bytes(n * k, "little")
-    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
+    ``_pack``."""
+    out = []
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    while p:
+        d = p & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        p = (p - d) >> width
+    return out
 
 
 class UniPoly:
@@ -109,9 +110,8 @@ class UniPoly:
     cached values keep the width they were made with.  The coefficient
     vector is unpacked, with its content reduced, only where it is read:
     text, ``coefficient``, ``hash``, ``evaluate``, division (``divmod``,
-    ``gcd``, ``xgcd``, ``monic``) and the callers that hand it to
-    ``Cyclotomic``.  Values are immutable (only their stored form is
-    tightened) and hashable.
+    ``gcd``, ``xgcd``, ``monic``) and ``_up_fold``.  Values are immutable
+    (only their stored form is tightened) and hashable.
     """
 
     __slots__ = ("_p", "_den", "_B", "_N")
@@ -175,12 +175,12 @@ class UniPoly:
 
     @staticmethod
     def x_pow(e: int, c: Union[int, Fraction] = 1) -> "UniPoly":
-        c = _fr(c)
-        if not c:
+        n = c.numerator  # an int is its own numerator, over 1
+        if not n:
             return _UP_ZERO
-        bound = abs(c.numerator)
+        bound = abs(n)
         width = _width(bound)
-        return UniPoly(c.numerator << (e * width), c.denominator, width, bound)
+        return UniPoly(n << (e * width), c.denominator, width, bound)
 
     # -- queries
 
@@ -468,6 +468,89 @@ def _up_scale(a: UniPoly, n: int, d: int) -> UniPoly:
         return UniPoly(a._p * n, a._den * d, a._B, bound)
     a._tighten()
     return _up_scale(a._at(max(a._B, _width(a._N * abs(n)))), n, d)
+
+
+# Reduction mod a monic integer polynomial M of degree d: the kernels of
+# Q(xi_n) in ``exactnum``, with M = Phi_n.
+
+
+def _up_fold(a: UniPoly, d: int, rows) -> UniPoly:
+    """a mod M, a monic integer polynomial of degree d, with its content
+    reduced; rows[j] is the integer vector of x^(d+j) mod M, and a's degree
+    must be below d + len(rows)."""
+    return _folded(a._p, a._B, a._den, d, rows)
+
+
+def _folded(p: int, width: int, den: int, d: int, rows) -> UniPoly:
+    """p / den, packed at width, folded as in ``_up_fold``.  The content g
+    divides every digit, so a packed int divides by g exactly."""
+    cs = _unpack(p, width)
+    out = cs[:d]
+    for c, row in zip(cs[d:], rows):
+        if c:
+            out = [x + c * r for x, r in zip(out, row)]
+    g = gcd(den, *out)  # den itself when every digit is 0
+    bound = sum(map(abs, out)) // g
+    fit = _width(bound)
+    if len(cs) > d or fit != width:  # folded, or narrower: pack the digits anew
+        p, width = _pack(out, fit), fit
+    return UniPoly(p // g, den // g, width, bound)
+
+
+def _fit_sums(acc: dict, width: int, top: int, scale: int = 1) -> tuple[int, int]:
+    """The exact bound of the packed sums in acc, read at width, and a width
+    that holds (bound + top) * scale twice over (so that the next call is
+    not one product away), to which the sums are repacked if it is wider."""
+    bound = max((sum(map(abs, _unpack(p, width))) for p in acc.values()), default=0)
+    need = 2 * (bound + top) * scale
+    if need.bit_length() >= width:
+        wide = _width(need)
+        for k, p in acc.items():
+            acc[k] = _pack(_unpack(p, width), wide)
+        width = wide
+    return bound, width
+
+
+def _up_lincomb(pairs, d: int, rows) -> dict:
+    """{key: sum of c * a mod M} over (c, items) pairs, for a UniPoly or a
+    rational c and items (key, UniPoly a) with distinct keys, M as in
+    ``_up_fold``; zero sums are dropped.  The packed products are added as
+    ints over one denominator, which grows as new denominators appear, at
+    one width.  When the sums' bound would reach it, the bound is first made
+    exact, and only if that does not fit are the sums repacked wider (an
+    operand of another width is then repacked too, a copy)."""
+    acc: dict = {}
+    get = acc.get
+    den, width = 1, 64
+    bound = 0  # on every sum: a key gets at most one product from each pair
+    for c, items in pairs:
+        top = 0  # the largest product bound of this pair
+        if type(c) is UniPoly:
+            cp, cd, cn, cw = c._p, c._den, c._N, c._B
+        else:  # a rational, whose numerator reads the same at every width
+            cp, cd, cn, cw = c.numerator, c.denominator, abs(c.numerator), 0
+        for key, a in items:
+            pd = cd * a._den
+            if den % pd:  # the denominator grows: rescale the sums so far
+                s = lcm(den, pd) // den
+                if ((bound + top) * s).bit_length() >= width:
+                    bound, width = _fit_sums(acc, width, top, s)
+                den, bound, top = den * s, bound * s, top * s
+                for k in acc:
+                    acc[k] *= s
+            f = den // pd
+            nb = cn * a._N * f
+            if nb > top:
+                top = nb
+                if (bound + top).bit_length() >= width:
+                    bound, width = _fit_sums(acc, width, top)
+            if cw and cw != width:  # the width holds both operands' bounds now
+                cp, cw = c._at(width)._p, width
+            if a._B != width:
+                a = a._at(width)
+            acc[key] = get(key, 0) + cp * a._p * f
+        bound += top
+    return {key: v for key, p in acc.items() if (v := _folded(p, width, den, d, rows))}
 
 
 def _as_unipoly(x):

@@ -18,7 +18,7 @@ from .exactnum import QQ, RHO_GENERIC, RHO_ZERO, RhoSpec
 from .structure import (SingularCoefficientError, c_coeff, mn_expand,
                         multiply_p, p_expand, partitions, straighten)
 from .tring import TPoly
-from .vertex import QCombination, hl_q
+from .vertex import QCombination, clear_caches, hl_q
 from .virasoro import TheoremCase, VirasoroSpec, build_operator, verify_case
 
 MAX_FAILURES_KEPT = 5
@@ -260,10 +260,12 @@ CRITERIA = (
 
 
 def run_desk(echo=None) -> list[CriterionResult]:
-    """Run every row of ``CRITERIA``; optionally print each line as it
+    """Run every row of ``CRITERIA``, each from empty caches so that its time
+    does not depend on the rows before it; optionally print each line as it
     completes."""
     results = []
     for row in CRITERIA:
+        clear_caches()
         res = run_criterion(row)
         results.append(res)
         if echo is not None:

@@ -164,13 +164,13 @@ def _exchange(label: Label, pos: int, rho: RhoSpec):
 
 
 class SingularCoefficientError(ArithmeticError):
-    """c_mu has a pole at the requested root of unity."""
+    """c_mu has a pole at the requested rho."""
 
-    def __init__(self, mu: Label, order: int):
+    def __init__(self, mu: Label, rho: RhoSpec):
         self.mu = mu
-        self.order = order
+        self.rho = rho
         super().__init__(
-            f"c_{list(mu)} has a pole at rho = xi:{order}")
+            f"c_{list(mu)} has a pole at rho = {rho.to_text()}")
 
 
 def _phi_poly(k: int) -> UniPoly:
@@ -205,8 +205,8 @@ def c_coeff_generic(mu: Label) -> RatFunc:
 def c_coeff(mu: Iterable[int], rho: RhoSpec):
     """c_mu evaluated at rho, as a value of rho's field.
 
-    At a root of unity the generic rational function is specialized by exact
-    limit; a genuine pole raises SingularCoefficientError.
+    At a root of unity or a rational rho the generic rational function is
+    specialized by exact limit; a genuine pole raises SingularCoefficientError.
     """
     mu = tuple(int(x) for x in mu)
     key = (rho.key, mu)
@@ -217,9 +217,7 @@ def c_coeff(mu: Iterable[int], rho: RhoSpec):
     try:
         val = rho.specialize(generic)
     except PoleError:
-        raise SingularCoefficientError(mu, rho.order) from None
-    except ZeroDivisionError:
-        raise SingularCoefficientError(mu, 0) from None
+        raise SingularCoefficientError(mu, rho) from None
     return _cache_put(_C_CACHE, key, val)
 
 
@@ -235,7 +233,7 @@ def p_expand(r: int, rho: RhoSpec) -> QCombination:
     if r < 1:
         raise ValueError("power sum index must be >= 1")
     if rho.kind == "root" and r % rho.order == 0:
-        raise SingularCoefficientError((1,) * r, rho.order)
+        raise SingularCoefficientError((1,) * r, rho)
     field = rho.field
     out = QCombination.zero(field)
     for mu in partitions(r):
@@ -250,7 +248,7 @@ def multiply_p(r: int, lam, rho: RhoSpec) -> QCombination:
     if r < 1:
         raise ValueError("power sum index must be >= 1")
     if rho.kind == "root" and r % rho.order == 0:
-        raise SingularCoefficientError((1,) * r, rho.order)
+        raise SingularCoefficientError((1,) * r, rho)
     field = rho.field
     if not isinstance(lam, QCombination):
         lam = QCombination.single(field, tuple(int(x) for x in lam))

@@ -7,6 +7,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 TOOL_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_collate.py"
 
 
@@ -51,7 +53,7 @@ def test_collate_two_sides(tmp_path, monkeypatch):
     assert swept == [(body, side) for body in tool.SWEEPS.values()
                      for _ in range(tool.REPEATS) for side in ("parent", "change")]
     assert set(record["sides"]["change"]["sweeps"]) == set(tool.SWEEPS)
-    assert {"exchange_rational", "t1_2_xi5"} <= set(tool.SWEEPS)
+    assert {"exchange_rational", "t1_2_xi5", "t1_2_xi7"} <= set(tool.SWEEPS)
     first = record["sides"]["change"]["sweeps"]["c7_generic_sweep"]
     assert first == {"seconds": [2.0, 4.0, 6.0], "host_scale": [2.0, 2.0, 2.0],
                      "median_s": 4.0, "scaled_median_s": 8.0, "cases": 3, "failed": 0}
@@ -72,9 +74,10 @@ def test_collate_two_sides(tmp_path, monkeypatch):
     assert record["comparison"]["generic-rho"]["setup_s"]["wins"] == 0
 
 
-def test_xi5_sweep_checks_t1_2_on_every_small_partition(monkeypatch):
-    """The t1_2_xi5 body, run with a stand-in verify_case: T1.2 at n = 5,
-    m = 1 on each of the 30 partitions of size at most 6."""
+@pytest.mark.parametrize("name, n", [("t1_2_xi5", 5), ("t1_2_xi7", 7)])
+def test_xi_sweep_checks_t1_2_on_every_small_partition(monkeypatch, name, n):
+    """A t1_2_xi<n> body, run with a stand-in verify_case: T1.2 at n, m = 1
+    on each of the 30 partitions of size at most 6."""
     from hlvir import virasoro
     from hlvir.structure import partitions
 
@@ -89,7 +92,7 @@ def test_xi5_sweep_checks_t1_2_on_every_small_partition(monkeypatch):
         return Verdict()
     monkeypatch.setattr(virasoro, "verify_case", fake_verify)
     scope = {"clock": lambda: 0.0}
-    exec(tool.SWEEPS["t1_2_xi5"], scope)
+    exec(tool.SWEEPS[name], scope)
     assert (scope["cases"], scope["failed"]) == (30, 0)
-    assert [(c.id, c.n, c.m) for c in seen] == [("T1.2", 5, 1)] * 30
+    assert [(c.id, c.n, c.m) for c in seen] == [("T1.2", n, 1)] * 30
     assert [c.lam for c in seen] == [lam for size in range(7) for lam in partitions(size)]

@@ -152,6 +152,13 @@ def test_singular_coefficient_is_exit_3(capsys):
     assert code == 3 and "pole" in err
 
 
+@pytest.mark.parametrize("rho, mu", [("1", "2,1"), ("-1", "1,1")])
+def test_pole_at_rational_rho_names_that_rho(capsys, rho, mu):
+    code, out, err = run_cli(capsys, "coeff", "--rho", rho, "--mu", mu)
+    assert code == 3 and not out
+    assert err == f"error: c_[{mu.replace(',', ', ')}] has a pole at rho = {rho}\n"
+
+
 def test_degenerate_pairing_is_exit_4(capsys):
     code, _, err = run_cli(capsys, "verify", "--case", "trPerpB", "--r", "2",
                            "--m", "1", "--rho", "xi:2", "--degree", "3")
@@ -357,6 +364,23 @@ def test_selftest_keeps_five_failures_and_reports_json(capsys, monkeypatch):
     assert lines[1].startswith("[ 2] FAIL  fails  cases=7  t=")
     assert lines[1].endswith("s  first: case 0")
     assert lines[2].startswith("desk suite: 2 criteria, 1 failed, ")
+
+
+def test_desk_runs_each_criterion_from_empty_caches(monkeypatch):
+    """run_desk empties every registered cache before each row, so a row's
+    time does not depend on the caches the rows before it warmed."""
+    seen = []
+
+    def warm_and_record(row):
+        seen.append([len(cache) for cache in vertex._CACHES])
+        hl_q((2, 1), RhoSpec.rational(2))  # fills the Q and B tables
+        return selftest.CriterionResult(row.number, row.name, True, 1, 0.0)
+    monkeypatch.setattr(selftest, "run_criterion", warm_and_record)
+    hl_q((1,), RhoSpec.rational(2))
+    selftest.run_desk()
+    assert len(seen) == len(selftest.CRITERIA)
+    assert not any(n for sizes in seen for n in sizes)
+    assert any(vertex._CACHES)  # the stand-in did warm them
 
 
 def test_grid_failure_names_the_cell(monkeypatch):

@@ -3,7 +3,6 @@ numbers, rational functions, and specialization at roots of unity."""
 
 import operator
 from fractions import Fraction
-from math import gcd
 
 import pytest
 import sympy
@@ -285,16 +284,15 @@ def test_cyclotomic_text_round_trip(a):
 
 REFERENCE_ORDERS = [1, 2, 4, 8, 9, 12, 15, 60]
 wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+# numerators near 2^200: packed widths above 64, so sums and products refit
+huge_rationals = st.builds(lambda sign, k, d: Fraction(sign * (2 ** 200 + k), d),
+                           st.sampled_from([1, -1]), st.integers(-2 ** 20, 2 ** 20),
+                           st.integers(1, 50))
 
 
 def _coord_lists(n):
-    # longer than phi (folded by the table) and, up to n + 3, longer than n
-    # (wrapped by z^n = 1 first)
-    return st.lists(wide_fractions, max_size=max(n, 2 * euler_phi(n)) + 3)
-
-
-def _as_poly(a):
-    return UniPoly.from_ints(a.num, a.den)
+    # longer than phi and, up to n + 3, longer than n
+    return st.lists(wide_fractions | huge_rationals, max_size=max(n, 2 * euler_phi(n)) + 3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -307,17 +305,17 @@ def test_cyclotomic_matches_unipoly_reference(case, q):
     a, b = Cyclotomic.make(n, xs), Cyclotomic.make(n, ys)
     pa = UniPoly.from_fractions(xs or [0]) % Phi
     pb = UniPoly.from_fractions(ys or [0]) % Phi
-    for v in (a, b, a * b, a + b, a - b):
-        assert len(v.num) == euler_phi(n) and v.den > 0
-        assert gcd(v.den, *v.num) == 1
-    assert _as_poly(a) == pa and _as_poly(b) == pb
-    assert _as_poly(a * b) == (pa * pb) % Phi
-    assert _as_poly(a + b) == pa + pb
-    assert _as_poly(a - b) == pa - pb
-    assert _as_poly(q - a) == UniPoly.constant(q) - pa
-    assert _as_poly(a * q) == pa * q
+    values = [a, b, a * b, a + b, a - b, q - a, a * q] + ([a.inverse()] if a else [])
+    for v in values:  # the unique representative
+        assert v.poly.degree < euler_phi(n)
+    assert a.poly == pa and b.poly == pb
+    assert (a * b).poly == (pa * pb) % Phi
+    assert (a + b).poly == pa + pb
+    assert (a - b).poly == pa - pb
+    assert (q - a).poly == UniPoly.constant(q) - pa
+    assert (a * q).poly == pa * q
     if a:
-        assert (_as_poly(a.inverse()) * pa) % Phi == UniPoly.constant(1)
+        assert (a.inverse().poly * pa) % Phi == UniPoly.constant(1)
     same = Cyclotomic.make(n, pa.coefficients)
     assert same == a and hash(same) == hash(a)
     assert a * b == b * a and hash(a * b) == hash(b * a)
@@ -472,7 +470,7 @@ def test_field_value_text():
 # large coprime denominators next to small ones: lcm sizes far past a word
 BIG_DENS = [1, 2, 3, 7, 1_000_003, 998_244_353, 2 ** 61 - 1]
 kernel_rationals = fractions | st.builds(
-    Fraction, st.integers(-10 ** 6, 10 ** 6), st.sampled_from(BIG_DENS))
+    Fraction, st.integers(-10 ** 6, 10 ** 6), st.sampled_from(BIG_DENS)) | huge_rationals
 KERNEL_FIELDS = [QQ] + [cyclotomic_field(n) for n in (2, 3, 4, 5, 7, 9, 12)] + [GENERIC]
 
 
@@ -519,7 +517,7 @@ def test_lincomb_matches_the_naive_sum(case):
         if field is QQ:
             assert isinstance(v, Fraction)
         elif field is not GENERIC:
-            assert len(v.num) == field.phi and v.den > 0 and gcd(v.den, *v.num) == 1
+            assert v.poly.degree < field.phi
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name)

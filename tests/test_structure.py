@@ -112,7 +112,7 @@ def test_c_singular_cases():
     x2 = RhoSpec.root(2)
     with pytest.raises(SingularCoefficientError) as err:
         c_coeff((3, 3), x2)
-    assert err.value.mu == (3, 3) and err.value.order == 2
+    assert err.value.mu == (3, 3) and err.value.rho == x2
     with pytest.raises(SingularCoefficientError):
         c_coeff((2, 2, 1, 1), x2)
 

@@ -16,8 +16,8 @@ is set against the parent's interquartile range (quartiles as
 It also times the heavy sweeps the benchmark leaves out, each in a fresh
 interpreter (cold caches): the criterion-7 straightening sweep at generic
 rho, criterion 11's ``Exchange`` grid at generic rho and at rho = 2, and
-``T1.2`` at xi_5 (n = 5, m = 1) on every partition of size at most 6, a
-field with phi(5) = 4.
+``T1.2`` with m = 1 on every partition of size at most 6 at xi_5 and at
+xi_7, fields with phi(n) = 4 and 6.
 Each sweep runs REPEATS times per side, parent and change alternating, and
 ``perfbench/run.py``'s reference loop is timed just before and just after
 every run.  The record keeps every sample, its host scale (REFERENCE_S over
@@ -55,6 +55,16 @@ oks = [ok for ok, _ in grid()]
 cases, failed = len(oks), oks.count(False)
 """
 
+# T1.2 at xi_n, m = 1, on the 30 partitions of size at most 6
+_T1_2 = """
+from hlvir.structure import partitions
+from hlvir.virasoro import TheoremCase, verify_case
+lams = [lam for size in range(7) for lam in partitions(size)]
+t0 = clock()
+oks = [verify_case(TheoremCase("T1.2", n={n}, m=1, lam=lam)).equal for lam in lams]
+cases, failed = len(oks), oks.count(False)
+"""
+
 # Each sweep runs in a child interpreter on the side's own sources; it sets
 # ``cases`` and ``failed``, and only the sweep itself is timed.
 SWEEPS = {
@@ -71,14 +81,8 @@ cases = len(labels)
     "exchange_generic": "from hlvir.exactnum import RHO_GENERIC as rho" + _EXCHANGE,
     "exchange_rational": "from hlvir.exactnum import RhoSpec\nrho = RhoSpec.rational(2)"
                          + _EXCHANGE,
-    "t1_2_xi5": """
-from hlvir.structure import partitions
-from hlvir.virasoro import TheoremCase, verify_case
-lams = [lam for size in range(7) for lam in partitions(size)]
-t0 = clock()
-oks = [verify_case(TheoremCase("T1.2", n=5, m=1, lam=lam)).equal for lam in lams]
-cases, failed = len(oks), oks.count(False)
-""",
+    "t1_2_xi5": _T1_2.format(n=5),
+    "t1_2_xi7": _T1_2.format(n=7),
 }
 
 _SWEEP_WRAPPER = """
