@@ -7,7 +7,7 @@ Three coefficient fields, all exact (no floating point anywhere):
                      element a packed ``rhopoly.UniPoly`` reduced modulo the
                      n-th cyclotomic polynomial
 * Q(rho)          -- ``RatFunc``: rational functions in one indeterminate rho,
-                     packed (``rhopoly``; re-exported here)
+                     num/den of packed ``rhopoly.UniPoly`` values
 
 plus the specialization maps that send a rational function to its exact value
 (a limit, when the naive substitution is 0/0) at rho = xi_n or at a rational
@@ -27,8 +27,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional, Union
 
-from .rhopoly import (RATFUNC_RHO, FieldMismatchError, RatFunc, UniPoly, _fr, _up_add,
-                      _up_fold, _up_lincomb, _up_mul, _UP_ONE, signed_join)
+from .rhopoly import (UNIPOLY_X, FieldMismatchError, UniPoly, _fr, _UP_ONE, _UP_ZERO, _up_add,
+                      _up_fold, _up_lincomb, _up_mul, _up_scale, signed_join)
 
 
 class PoleError(ArithmeticError):
@@ -229,6 +229,182 @@ class Cyclotomic:
     @staticmethod
     def parse(order: int, text: str) -> "Cyclotomic":
         return Cyclotomic(order, UniPoly.parse(text, "z") % cyclotomic_field(order).modulus)
+
+
+# ---------------------------------------------------------------------------
+# rational functions
+
+
+class RatFunc:
+    """A rational function num/den over Q, gcd-reduced with monic denominator.
+
+    Invariant: ``den`` is the shared ``_UP_ONE`` object if and only if the
+    value is a polynomial, so ``den is _UP_ONE`` is the polynomial test, and
+    a sum, product or rational scale of polynomials is one call of a packed
+    UniPoly kernel.  Only ``make`` with a nonconstant denominator (a gcd),
+    text and the specializations unpack coefficients.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: UniPoly, den: UniPoly):
+        # assumes already normalized; use make()
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def make(num: UniPoly, den: UniPoly) -> "RatFunc":
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero():
+            return RatFunc(_UP_ZERO, _UP_ONE)
+        if den.degree > 0:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num.divexact(g)
+                den = den.divexact(g)
+        lead = den.leading()
+        if lead != 1:
+            num = _up_scale(num, lead.denominator, lead.numerator)
+            den = den.monic()
+        return RatFunc(num, _UP_ONE if den.degree == 0 else den)
+
+    @staticmethod
+    def from_poly(p: UniPoly) -> "RatFunc":
+        return RatFunc(p, _UP_ONE)
+
+    @staticmethod
+    def constant(c: Union[int, Fraction]) -> "RatFunc":
+        return RatFunc(UniPoly.constant(c), _UP_ONE)
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def is_constant(self) -> bool:
+        return self.den is _UP_ONE and self.num.is_constant()
+
+    def rational_value(self) -> Fraction:
+        if not self.is_constant():
+            raise ValueError("not a constant rational function")
+        return self.num.coefficient(0)
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RatFunc.constant(other)
+        if isinstance(other, UniPoly):
+            return RatFunc.from_poly(other)
+        if isinstance(other, RatFunc):
+            return other
+        return None  # a Cyclotomic's reflected method raises the mismatch
+
+    @staticmethod
+    def _combine(a: "RatFunc", b: "RatFunc", sign: int) -> "RatFunc":
+        """a + sign * b.  Calls no RatFunc operator, so that an instrumented
+        ``__add__`` counts only the additions callers make."""
+        if a.den is _UP_ONE and b.den is _UP_ONE:
+            return RatFunc(_up_add(a.num, b.num, sign), _UP_ONE)
+        return RatFunc.make(_up_add(_up_mul(a.num, b.den), _up_mul(b.num, a.den), sign),
+                            _up_mul(a.den, b.den))
+
+    def __add__(self, other):
+        o = other if type(other) is RatFunc else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RatFunc._combine(self, o, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RatFunc(-self.num, self.den)
+
+    def __sub__(self, other):
+        o = other if type(other) is RatFunc else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RatFunc._combine(self, o, -1)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RatFunc._combine(o, self, -1)
+
+    def __mul__(self, other):
+        o = other
+        if type(o) is not RatFunc:
+            if isinstance(o, (int, Fraction)):
+                # a nonzero rational factor keeps num/den reduced, den monic
+                n = o.numerator
+                if not n:
+                    return RatFunc(_UP_ZERO, _UP_ONE)
+                return RatFunc(_up_scale(self.num, n, o.denominator), self.den)
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
+        if self.den is _UP_ONE and o.den is _UP_ONE:
+            return RatFunc(_up_mul(self.num, o.num), _UP_ONE)
+        return RatFunc.make(_up_mul(self.num, o.num), _up_mul(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc.make(_up_mul(self.num, o.den), _up_mul(self.den, o.num))
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return (RatFunc.constant(1) / self) ** (-e)
+        return RatFunc.make(self.num ** e, self.den ** e)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, UniPoly)):
+            other = self._coerce(other)
+        if not isinstance(other, RatFunc):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"RatFunc({self.to_text()})"
+
+    def to_text(self) -> str:
+        if self.is_zero():
+            return "0"
+        if self.is_constant():
+            return str(self.num.coefficient(0))
+        if self.den is _UP_ONE:
+            return f"({self.num.to_text()})"
+        return f"({self.num.to_text()})/({self.den.to_text()})"
+
+    @staticmethod
+    def parse(text: str) -> "RatFunc":
+        text = text.strip()
+        if not text.startswith("("):
+            return RatFunc.constant(Fraction(text))
+        if ")/(" in text:
+            n_txt, d_txt = text.split(")/(", 1)
+            num = UniPoly.parse(n_txt[1:])
+            den = UniPoly.parse(d_txt[:-1])
+            return RatFunc.make(num, den)
+        return RatFunc.from_poly(UniPoly.parse(text[1:-1]))
+
+
+RATFUNC_RHO = RatFunc.from_poly(UNIPOLY_X)
 
 
 # ---------------------------------------------------------------------------

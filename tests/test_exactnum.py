@@ -9,11 +9,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlvir.exactnum import (GENERIC, QQ, Cyclotomic, FieldMismatchError, PoleError, RhoSpec,
-                            cyclotomic_field, cyclotomic_poly, euler_phi,
+from hlvir.exactnum import (GENERIC, QQ, RATFUNC_RHO, Cyclotomic, FieldMismatchError, PoleError,
+                            RatFunc, RhoSpec, cyclotomic_field, cyclotomic_poly, euler_phi,
                             specialize_at_rational, specialize_at_root)
-from hlvir.rhopoly import (_UP_ONE, RATFUNC_RHO, UNIPOLY_X, RatFunc, UniPoly, _pack, _unpack,
-                           _width)
+from hlvir.rhopoly import _UP_ONE, UNIPOLY_X, UniPoly, _pack, _unpack, _width
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -528,6 +527,10 @@ def test_lincomb_small_cases(field):
     assert field.lincomb([(0, {"a": one})]) == {}
     assert field.lincomb([(Fraction(1, 2), {"a": two})]) == {"a": two * Fraction(1, 2)}
     assert field.lincomb([(3, {"a": one, "b": two}), (-3, {"a": one})]) == {"b": two * 3}
+    # nine alternating copies of 2^60: the running bound of the sums reaches
+    # 2^63 while the sums stay small, so the bound is made exact in place
+    alternating = [((-1) ** i * 2 ** 60, {"a": one}) for i in range(9)]
+    assert field.lincomb(alternating) == {"a": one * 2 ** 60}
     if field is not QQ and field is not GENERIC and field.phi > 1:
         z = Cyclotomic.generator(field.order)
         # z * z^(phi-1) = z^phi reduces mod Phi_n
