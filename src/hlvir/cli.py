@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .exactnum import PoleError, RhoSpec
 from .structure import SingularCoefficientError, c_coeff, multiply_p, straighten
@@ -171,7 +170,7 @@ def _cmd_selftest(args) -> int:
     results = run_desk(echo=print if args.format == "text" else None)
     failed = sum(1 for res in results if not res.passed)
     if args.format == "json":
-        print(json.dumps({"criteria": [asdict(res) for res in results],
+        print(json.dumps({"criteria": [res.to_json() for res in results],
                           "failed": failed}, sort_keys=True))
     else:
         total_time = sum(res.seconds for res in results)

@@ -21,7 +21,6 @@ over Q(rho).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -655,14 +654,39 @@ def cyclotomic_field(n: int) -> CyclotomicFieldTag:
 # rho specification
 
 
-@dataclass(frozen=True)
-class RhoSpec:
-    """Which rho we are working at: a rational value, a primitive root of
-    unity xi_n, or the generic indeterminate."""
+class Frozen:
+    """Base of hlvir's immutable records.  A subclass names its fields in
+    ``__slots__`` and sets each one once, in ``__init__``, with
+    ``object.__setattr__``; any later assignment or deletion raises."""
 
-    kind: str  # "generic" | "rational" | "root"
-    value: Optional[Fraction] = None
-    order: Optional[int] = None
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class RhoSpec(Frozen):
+    """Which rho we are working at: a rational value, a primitive root of
+    unity xi_n, or the generic indeterminate.  Two specs are equal, and hash
+    equal, when their ``key``s are."""
+
+    __slots__ = ("kind", "value", "order")
+
+    def __init__(self, kind: str, value: Optional[Fraction] = None,
+                 order: Optional[int] = None):
+        # kind is "generic", "rational" or "root"; use the constructors below
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "order", order)
+
+    def __eq__(self, other):
+        return self.key == other.key if isinstance(other, RhoSpec) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.key)
 
     @staticmethod
     def generic() -> "RhoSpec":

@@ -107,14 +107,17 @@ class UniPoly:
     place: it changes neither the value nor the width and only shrinks the
     stored ints, and a cached operand would otherwise be tightened again at
     every use.  A wider packing is always a copy, so shared constants and
-    cached values keep the width they were made with.  The coefficient
+    cached values keep the width they were made with; ``_up_lincomb`` keeps
+    an operand's copy at the width of the last wider sums it met in
+    ``_wide`` (unset until then), so a cached value that many wide sums meet
+    is repacked once, not once per sum.  The coefficient
     vector is unpacked, with its content reduced, only where it is read:
     text, ``coefficient``, ``hash``, ``evaluate``, division (``divmod``,
     ``gcd``, ``xgcd``, ``monic``) and ``_up_fold``.  Values are immutable
     (only their stored form is tightened) and hashable.
     """
 
-    __slots__ = ("_p", "_den", "_B", "_N")
+    __slots__ = ("_p", "_den", "_B", "_N", "_wide")
 
     def __init__(self, p: int, den: int, width: int, bound: int):
         # assumes bound >= sum |digits of p| and bound < 2^(width - 1), den > 0;
@@ -150,6 +153,7 @@ class UniPoly:
         tightened: it is done once per value, not at every later use."""
         cs, den = self._reduced()
         self._p, self._den, self._N = _pack(cs, self._B), den, sum(map(abs, cs))
+        self._wide = None
 
     def _at(self, width: int) -> "UniPoly":
         """The same value packed at ``width``, which must hold its bound."""
@@ -518,7 +522,7 @@ def _up_lincomb(pairs, d: int, rows) -> dict:
     ints over one denominator, which grows as new denominators appear, at
     one width.  When the sums' bound would reach it, the bound is first made
     exact, and only if that does not fit are the sums repacked wider (an
-    operand of another width is then repacked too, a copy)."""
+    operand of another width is then met through its ``_wide`` copy)."""
     acc: dict = {}
     get = acc.get
     den, width = 1, 64
@@ -547,7 +551,10 @@ def _up_lincomb(pairs, d: int, rows) -> dict:
             if cw and cw != width:  # the width holds both operands' bounds now
                 cp, cw = c._at(width)._p, width
             if a._B != width:
-                a = a._at(width)
+                w = getattr(a, "_wide", None)
+                if w is None or w._B != width:
+                    w = a._wide = a._at(width)
+                a = w
             acc[key] = get(key, 0) + cp * a._p * f
         bound += top
     return {key: v for key, p in acc.items() if (v := _folded(p, width, den, d, rows))}

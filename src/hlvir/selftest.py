@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -24,14 +23,18 @@ from .virasoro import TheoremCase, VirasoroSpec, build_operator, verify_case
 MAX_FAILURES_KEPT = 5
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    cases: int
-    seconds: float
-    failures: list = field(default_factory=list)
+    __slots__ = ("number", "name", "passed", "cases", "seconds", "failures")
+
+    def __init__(self, number: int, name: str, passed: bool, cases: int,
+                 seconds: float, failures=()):
+        self.number, self.name, self.passed = number, name, passed
+        self.cases, self.seconds, self.failures = cases, seconds, list(failures)
+
+    def to_json(self) -> dict:
+        return {"number": self.number, "name": self.name, "passed": self.passed,
+                "cases": self.cases, "seconds": self.seconds,
+                "failures": self.failures}
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -42,15 +45,16 @@ class CriterionResult:
         return out
 
 
-@dataclass(frozen=True)
 class Grid:
     """``verify_case(case_id, **cell)`` at every cell of the product of the
     axes, taken in the order given; a cell where ``skip(**cell)`` holds is
     not a case.  A failure reads ``<case id> k=v ... [detail]``."""
 
-    case_id: str
-    axes: dict
-    skip: Optional[Callable[..., bool]] = None
+    __slots__ = ("case_id", "axes", "skip")
+
+    def __init__(self, case_id: str, axes: dict,
+                 skip: Optional[Callable[..., bool]] = None):
+        self.case_id, self.axes, self.skip = case_id, axes, skip
 
     def __call__(self):
         for values in itertools.product(*self.axes.values()):
@@ -64,13 +68,14 @@ class Grid:
                 + ([v.detail] if v.detail else []))
 
 
-@dataclass(frozen=True)
 class Criterion:
-    number: int
-    name: str
-    # Grids and generator functions, run in order; each yields checks (ok,
-    # describe): the failure text, or a thunk called before the source resumes
-    checks: tuple
+    __slots__ = ("number", "name", "checks")
+
+    def __init__(self, number: int, name: str, checks: tuple):
+        # Grids and generator functions, run in order; each yields checks (ok,
+        # describe): the failure text, or a thunk called before the source
+        # resumes
+        self.number, self.name, self.checks = number, name, checks
 
 
 def run_criterion(row: Criterion) -> CriterionResult:

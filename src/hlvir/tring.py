@@ -7,11 +7,10 @@ product of polynomials is one call of the field's scaled-sum kernel
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exactnum import FieldMismatchError, RhoSpec, _accumulate, signed_join
+from .exactnum import FieldMismatchError, Frozen, RhoSpec, _accumulate, signed_join
 
 # A monomial is a tuple of (variable index, exponent) pairs, ascending index,
 # all exponents positive; () is the unit monomial.
@@ -299,8 +298,7 @@ class TPoly(Sparse):
 # linear operators as data
 
 
-@dataclass(frozen=True)
-class OpTerm:
+class OpTerm(Frozen):
     """coeff times a product of at most two factors, applied right to left.
 
     Factors are ("mul", a) for multiplication by t_a or ("der", a) for
@@ -308,19 +306,19 @@ class OpTerm:
     field at application time) or a value of that field.
     """
 
-    coeff: object
-    factors: tuple[tuple[str, int], ...]
+    __slots__ = ("coeff", "factors")
 
-    def __post_init__(self):
-        for kind, a in self.factors:
+    def __init__(self, coeff, factors: tuple[tuple[str, int], ...]):
+        for kind, a in factors:
             if kind not in ("mul", "der"):
                 raise ValueError(f"unknown factor kind {kind!r}")
             if a < 1:
                 raise ValueError("factor index must be >= 1")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class LinOperator:
+class LinOperator(Frozen):
     """A finite list of explicit terms plus, when ``shift`` is set, the
     grading sum
 
@@ -329,9 +327,13 @@ class LinOperator:
     without the k that are multiples of ``skip`` (when set).  The range of k
     is read off the polynomial the operator is applied to."""
 
-    finite: tuple[OpTerm, ...] = ()
-    shift: Optional[int] = None
-    skip: Optional[int] = None
+    __slots__ = ("finite", "shift", "skip")
+
+    def __init__(self, finite: tuple[OpTerm, ...] = (), shift: Optional[int] = None,
+                 skip: Optional[int] = None):
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "skip", skip)
 
 
 def _apply_term(term: OpTerm, f: TPoly) -> TPoly:

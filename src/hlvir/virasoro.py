@@ -21,11 +21,10 @@ k = 1..p-1, plus the constant of Lmn at m = 0.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exactnum import QQ, RHO_ZERO, RhoSpec
+from .exactnum import QQ, RHO_ZERO, Frozen, RhoSpec
 from .structure import c_coeff, multiplicities, multiply_p, partitions
 from .tring import (LinOperator, OpTerm, TPoly, apply, commutator_apply,
                     mono_from_exponents)
@@ -34,26 +33,26 @@ from .vertex import Label, QCombination, apply_B, hl_q, perp_t
 FAMILIES = ("Lmn", "Lhat", "Ltilde", "Wmn", "Vmn", "LS", "WS")
 
 
-@dataclass(frozen=True)
-class VirasoroSpec:
+class VirasoroSpec(Frozen):
     """Which operator to build: family, mode index m, and (except for the
     Schur families LS/WS) the root-of-unity order n >= 2."""
 
-    family: str
-    m: int
-    n: Optional[int] = None
+    __slots__ = ("family", "m", "n")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown operator family {self.family!r}")
-        if self.family in ("LS", "WS"):
-            if self.n is not None:
-                raise ValueError(f"{self.family} does not take an order n")
+    def __init__(self, family: str, m: int, n: Optional[int] = None):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown operator family {family!r}")
+        if family in ("LS", "WS"):
+            if n is not None:
+                raise ValueError(f"{family} does not take an order n")
         else:
-            if self.n is None or self.n < 2:
-                raise ValueError(f"{self.family} needs an order n >= 2")
-        if self.family in ("Wmn", "Vmn") and self.m < 1:
-            raise ValueError(f"{self.family} is defined for m >= 1 only")
+            if n is None or n < 2:
+                raise ValueError(f"{family} needs an order n >= 2")
+        if family in ("Wmn", "Vmn") and m < 1:
+            raise ValueError(f"{family} is defined for m >= 1 only")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
 
 def _second_order(p: int, kind: str, c: Fraction,
@@ -220,7 +219,6 @@ def rhs_Vm(n: int, m: int, lam) -> QCombination:
 # verification
 
 
-@dataclass(frozen=True)
 class TheoremCase:
     """One verifiable instance: a theorem id plus its parameters.
 
@@ -228,25 +226,23 @@ class TheoremCase:
     ids sweep all monomials up to the degree bound.
     """
 
-    id: str
-    n: Optional[int] = None
-    m: Optional[int] = None
-    i: Optional[int] = None
-    j: Optional[int] = None
-    r: Optional[int] = None
-    lam: Optional[tuple] = None
-    degree: Optional[int] = None
-    rho: Optional[RhoSpec] = None
+    __slots__ = ("id", "n", "m", "i", "j", "r", "lam", "degree", "rho")
+
+    def __init__(self, id: str, n: Optional[int] = None, m: Optional[int] = None,
+                 i: Optional[int] = None, j: Optional[int] = None,
+                 r: Optional[int] = None, lam: Optional[tuple] = None,
+                 degree: Optional[int] = None, rho: Optional[RhoSpec] = None):
+        self.id, self.n, self.m, self.i, self.j = id, n, m, i, j
+        self.r, self.lam, self.degree, self.rho = r, lam, degree, rho
 
 
-@dataclass(frozen=True)
 class Verdict:
-    case: TheoremCase
-    equal: bool
-    lhs: TPoly
-    rhs: TPoly
-    diff: TPoly
-    detail: str = ""
+    __slots__ = ("case", "equal", "lhs", "rhs", "diff", "detail")
+
+    def __init__(self, case: TheoremCase, equal: bool, lhs: TPoly, rhs: TPoly,
+                 diff: TPoly, detail: str = ""):
+        self.case, self.equal, self.lhs, self.rhs = case, equal, lhs, rhs
+        self.diff, self.detail = diff, detail
 
     def to_json(self) -> dict:
         case: dict = {"id": self.case.id}
@@ -440,7 +436,6 @@ def _cor_a2(m: int, r: int):
     return RHO_ZERO, sides
 
 
-@dataclass(frozen=True)
 class Identity:
     """One verifiable identity: its case id, its CLI name, and ``fn``, a
     function of the case's ``fields`` in order.  A single-instance ``fn``
@@ -449,12 +444,12 @@ class Identity:
     monomial f up to that degree.  ``guard`` is an extra condition on one
     field, such as "m >= 1"."""
 
-    id: str
-    name: str
-    fields: tuple[str, ...]
-    sweep: bool
-    fn: Callable
-    guard: Optional[str] = None
+    __slots__ = ("id", "name", "fields", "sweep", "fn", "guard")
+
+    def __init__(self, id: str, name: str, fields: tuple[str, ...], sweep: bool,
+                 fn: Callable, guard: Optional[str] = None):
+        self.id, self.name, self.fields = id, name, fields
+        self.sweep, self.fn, self.guard = sweep, fn, guard
 
 
 IDENTITIES = (

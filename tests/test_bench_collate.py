@@ -53,7 +53,7 @@ def test_collate_two_sides(tmp_path, monkeypatch):
     assert swept == [(body, side) for body in tool.SWEEPS.values()
                      for _ in range(tool.REPEATS) for side in ("parent", "change")]
     assert set(record["sides"]["change"]["sweeps"]) == set(tool.SWEEPS)
-    assert {"exchange_rational", "t1_2_xi5", "t1_2_xi7"} <= set(tool.SWEEPS)
+    assert {"exchange_rational", "t1_2_xi5", "t1_2_xi7", "cold_import"} <= set(tool.SWEEPS)
     first = record["sides"]["change"]["sweeps"]["c7_generic_sweep"]
     assert first == {"seconds": [2.0, 4.0, 6.0], "host_scale": [2.0, 2.0, 2.0],
                      "median_s": 4.0, "scaled_median_s": 8.0, "cases": 3, "failed": 0}
@@ -96,3 +96,11 @@ def test_xi_sweep_checks_t1_2_on_every_small_partition(monkeypatch, name, n):
     assert (scope["cases"], scope["failed"]) == (30, 0)
     assert [(c.id, c.n, c.m) for c in seen] == [("T1.2", n, 1)] * 30
     assert [c.lam for c in seen] == [lam for size in range(7) for lam in partitions(size)]
+
+
+def test_cold_import_sweep_times_the_cli_import_in_a_fresh_child():
+    tool = _load_tool()
+    # the child imports nothing before the timed import, json included
+    assert tool._SWEEP_WRAPPER.index("import json") > tool._SWEEP_WRAPPER.index("{body}")
+    res = tool.run_sweep(TOOL_PATH.parents[1], tool.SWEEPS["cold_import"])
+    assert (res["cases"], res["failed"]) == (1, 0) and 0 < res["seconds"] < 10

@@ -353,6 +353,9 @@ def test_selftest_keeps_five_failures_and_reports_json(capsys, monkeypatch):
     passes, fails = report["criteria"]
     assert set(passes) == {"number", "name", "passed", "cases", "seconds",
                            "failures"}
+    assert list(passes) == sorted(passes)  # printed with sort_keys
+    assert list(selftest.CriterionResult(1, "x", True, 2, 0.5).to_json()) == [
+        "number", "name", "passed", "cases", "seconds", "failures"]
     assert (passes["number"], passes["name"], passes["passed"],
             passes["cases"], passes["failures"]) == (1, "passes", True, 2, [])
     assert (fails["passed"], fails["cases"]) == (False, 7)

@@ -420,6 +420,12 @@ def test_rho_spec_parsing():
     assert RhoSpec.parse("2/3") == RhoSpec.rational(Fraction(2, 3))
     for text in ("generic", "xi:5", "0", "-1", "2/3"):
         assert RhoSpec.parse(text).to_text() == text
+        a, b = RhoSpec.parse(text), RhoSpec.parse(text)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert RhoSpec.parse(a.to_text()) == a
+    specs = {RhoSpec.parse(t) for t in ("generic", "xi:3", "xi:4", "0", "2/3", "xi:3", "0")}
+    assert len(specs) == 5 and RhoSpec.root(3) in specs
+    assert RhoSpec.rational(0) != RhoSpec.generic() and RhoSpec.root(2) != RhoSpec.rational(2)
 
 
 def test_rho_spec_rejects_bad_input():
@@ -517,6 +523,28 @@ def test_lincomb_matches_the_naive_sum(case):
             assert isinstance(v, Fraction)
         elif field is not GENERIC:
             assert v.poly.degree < field.phi
+
+
+def test_lincomb_repacks_a_narrow_operand_once(monkeypatch):
+    """Sums that need 128 bits meet a 64-bit operand through one wide copy,
+    kept across kernel calls.  Tightening the operand in place drops that
+    copy, whose denominator it no longer shares."""
+    field = cyclotomic_field(7)
+    poly = UniPoly(_pack([2, 2], 64), 2, 64, 4)  # 1 + z, its content unreduced
+    a = Cyclotomic(7, poly)
+    want = {c: Cyclotomic(7, UniPoly.from_ints([c, c])) for c in (2 ** 61, 2 ** 62)}
+    repacks = []
+    at = UniPoly._at
+    monkeypatch.setattr(UniPoly, "_at", lambda self, width: repacks.append(width) or at(self, width))
+    c = 2 ** 61  # c times a's bound is 2^63: the sums need 128 bits
+    first = field.lincomb([(c, {"k": a})])
+    second = field.lincomb([(c, {"k": a}), (c, {"j": a})])
+    assert repacks == [128]
+    assert first == {"k": want[c]} and second == {"k": want[c], "j": want[c]}
+    poly._tighten()
+    assert (poly._den, poly._N, poly._B) == (1, 2, 64)
+    c = 2 ** 62  # c times the exact bound is 2^63 again
+    assert field.lincomb([(c, {"k": a})]) == {"k": want[c]}
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name)

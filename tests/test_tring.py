@@ -121,10 +121,12 @@ def test_json_round_trip(f):
 # -- operators
 
 def test_op_term_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         OpTerm(Fraction(1), (("mul", 0),))
-    with pytest.raises(ValueError):
+    assert str(err.value) == "factor index must be >= 1"
+    with pytest.raises(ValueError) as err:
         OpTerm(Fraction(1), (("nope", 1),))
+    assert str(err.value) == "unknown factor kind 'nope'"
 
 
 def test_grading_operator_counts_degree():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hlvir.exactnum import QQ, RHO_GENERIC, RhoSpec
-from hlvir.tring import TPoly, apply, commutator_apply
+from hlvir.tring import LinOperator, OpTerm, TPoly, apply, commutator_apply
 from hlvir.vertex import hl_q
 from hlvir.virasoro import (CASE_IDS, FAMILIES, TheoremCase, VirasoroSpec,
                             build_operator, monomial_basis, rhs_T1_1,
@@ -20,16 +20,29 @@ X3 = RhoSpec.root(3)
 # -- operator construction
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        VirasoroSpec("Lmn", 1)            # missing order
-    with pytest.raises(ValueError):
-        VirasoroSpec("Lmn", 1, 1)         # order too small
-    with pytest.raises(ValueError):
-        VirasoroSpec("LS", 1, 2)          # Schur family takes no order
-    with pytest.raises(ValueError):
-        VirasoroSpec("Wmn", 0, 2)         # needs m >= 1
-    with pytest.raises(ValueError):
-        VirasoroSpec("nope", 1, 2)
+    for args, message in [
+            (("Lmn", 1), "Lmn needs an order n >= 2"),                  # missing order
+            (("Lmn", 1, 1), "Lmn needs an order n >= 2"),               # order too small
+            (("LS", 1, 2), "LS does not take an order n"),              # Schur family
+            (("Wmn", 0, 2), "Wmn is defined for m >= 1 only"),
+            (("nope", 1, 2), "unknown operator family 'nope'")]:
+        with pytest.raises(ValueError) as err:
+            VirasoroSpec(*args)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("record, name", [
+    (RhoSpec.root(3), "order"), (RHO_GENERIC, "kind"), (VirasoroSpec("Lmn", 1, 2), "m"),
+    (OpTerm(Fraction(1), (("der", 1),)), "coeff"), (LinOperator(shift=0), "skip")])
+def test_records_are_immutable(record, name):
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 5)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, name) == before
 
 
 def test_operator_shapes():

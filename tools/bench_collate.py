@@ -17,7 +17,8 @@ It also times the heavy sweeps the benchmark leaves out, each in a fresh
 interpreter (cold caches): the criterion-7 straightening sweep at generic
 rho, criterion 11's ``Exchange`` grid at generic rho and at rho = 2, and
 ``T1.2`` with m = 1 on every partition of size at most 6 at xi_5 and at
-xi_7, fields with phi(n) = 4 and 6.
+xi_7, fields with phi(n) = 4 and 6; and ``import hlvir.cli`` itself, the
+cold start every hlvir process pays (the child imports nothing else first).
 Each sweep runs REPEATS times per side, parent and change alternating, and
 ``perfbench/run.py``'s reference loop is timed just before and just after
 every run.  The record keeps every sample, its host scale (REFERENCE_S over
@@ -45,11 +46,10 @@ REPEATS = 3
 
 # criterion 11's Exchange grid at the one field ``rho``
 _EXCHANGE = """
-from dataclasses import replace
-from hlvir.selftest import CRITERIA
+from hlvir.selftest import CRITERIA, Grid
 grid = next(g for row in CRITERIA if row.number == 11 for g in row.checks
             if getattr(g, "case_id", None) == "Exchange")
-grid = replace(grid, axes={**grid.axes, "rho": (rho,)})
+grid = Grid(grid.case_id, {**grid.axes, "rho": (rho,)}, grid.skip)
 t0 = clock()
 oks = [ok for ok, _ in grid()]
 cases, failed = len(oks), oks.count(False)
@@ -83,13 +83,22 @@ cases = len(labels)
                          + _EXCHANGE,
     "t1_2_xi5": _T1_2.format(n=5),
     "t1_2_xi7": _T1_2.format(n=7),
+    "cold_import": """
+t0 = clock()
+import hlvir.cli
+cases, failed = 1, 0
+""",
 }
 
+# json is imported after the body, so that a body that times an import
+# (cold_import) finds nothing loaded beyond a bare interpreter and time
 _SWEEP_WRAPPER = """
-import json, time
+import time
 clock = time.perf_counter
 {body}
-print(json.dumps({{"seconds": clock() - t0, "cases": cases, "failed": failed}}))
+seconds = clock() - t0
+import json
+print(json.dumps({{"seconds": seconds, "cases": cases, "failed": failed}}))
 """
 
 
