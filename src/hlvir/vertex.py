@@ -13,8 +13,9 @@ on u^m
 With B_m t^mu = 0 for m + |mu| < 0 and B_m 1 = E_m, this builds B_m on a
 monomial from entries one factor shorter: each entry is one shift by t_k
 of another plus a -1/k multiple of a third.  That step, E_j, B_m f as a
-sum over the monomials of f, and the expansion of a combination of Q's are
-each one call of the field's scaled-sum kernel (``lincomb`` in ``exactnum``).
+sum over the monomials of f (or a sum of scaled B_m f over several m and
+f, ``apply_B_sum``), and the expansion of a combination of Q's are each
+one call of the field's scaled-sum kernel (``lincomb`` in ``exactnum``).
 Everything here is exact over Q, Q(rho), or a cyclotomic field.
 """
 
@@ -156,13 +157,27 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> TPoly:
     return done[m, mono]
 
 
+def apply_B_sum(rho: RhoSpec, parts: Iterable[tuple]) -> TPoly:
+    """sum of s * B_m f over the (s, m, f) parts, each s a rational or a value
+    of rho's field, as one call of the field's scaled-sum kernel: each
+    monomial c t^mu of each f is one pair (c*s, B_m t^mu).  A part with
+    s = 0 or f = 0 adds nothing."""
+    field = rho.field
+    done: dict = {}
+    pairs = []
+    for s, m, f in parts:
+        if f.field is not field:
+            raise FieldMismatchError("apply_B needs f over rho's coefficient field")
+        if s:
+            one = s == 1
+            pairs += [(c if one else c * s, _apply_b_mono(rho, m, mono, done).terms)
+                      for mono, c in f.terms.items()]
+    return TPoly(field, field.lincomb(pairs))
+
+
 def apply_B(m: int, f: TPoly, rho: RhoSpec) -> TPoly:
     """Apply the row operator B_m to f, linearly over its monomials."""
-    if f.field is not rho.field:
-        raise FieldMismatchError("apply_B needs f over rho's coefficient field")
-    done: dict = {}
-    return TPoly(f.field, rho.field.lincomb(
-        [(c, _apply_b_mono(rho, m, mono, done).terms) for mono, c in f.terms.items()]))
+    return apply_B_sum(rho, ((1, m, f),))
 
 
 # ---------------------------------------------------------------------------

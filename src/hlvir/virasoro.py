@@ -28,7 +28,7 @@ from .exactnum import QQ, RHO_ZERO, Frozen, RhoSpec
 from .structure import c_coeff, multiplicities, multiply_p, partitions
 from .tring import (LinOperator, OpTerm, TPoly, apply, commutator_apply,
                     mono_from_exponents)
-from .vertex import Label, QCombination, apply_B, hl_q, perp_t
+from .vertex import Label, QCombination, apply_B, apply_B_sum, hl_q, perp_t
 
 FAMILIES = ("Lmn", "Lhat", "Ltilde", "Wmn", "Vmn", "LS", "WS")
 
@@ -338,23 +338,22 @@ def _bracket(n: int, i: int, j: int):
 def _exchange(i: int, j: int, rho: RhoSpec):
     rho1 = rho.rho_pow(1)
     return rho, lambda f: (
-        apply_B(i - 1, apply_B(j, f, rho), rho)
-        - apply_B(i, apply_B(j - 1, f, rho), rho).scale(rho1),
-        apply_B(j, apply_B(i - 1, f, rho), rho).scale(rho1)
-        - apply_B(j - 1, apply_B(i, f, rho), rho))
+        apply_B_sum(rho, ((1, i - 1, apply_B(j, f, rho)),
+                          (-rho1, i, apply_B(j - 1, f, rho)))),
+        apply_B_sum(rho, ((rho1, j, apply_B(i - 1, f, rho)),
+                          (-1, j - 1, apply_B(i, f, rho)))))
 
 
 def _pr_b(r: int, m: int, rho: RhoSpec):
     return rho, lambda f: (
         _p_mul(r, apply_B(m, f, rho)),
-        apply_B(m, _p_mul(r, f), rho) + apply_B(m + r, f, rho))
+        apply_B_sum(rho, ((1, m, _p_mul(r, f)), (1, m + r, f))))
 
 
 def _tr_perp_b(r: int, m: int, rho: RhoSpec):
     return rho, lambda f: (
         perp_t(r, apply_B(m, f, rho), rho),
-        apply_B(m - r, f, rho).scale(Fraction(1, r))
-        + apply_B(m, perp_t(r, f, rho), rho))
+        apply_B_sum(rho, ((Fraction(1, r), m - r, f), (1, m, perp_t(r, f, rho)))))
 
 
 def _prop33(rho: RhoSpec, op: LinOperator, n: int, m: int, r: int):
@@ -365,18 +364,13 @@ def _prop33(rho: RhoSpec, op: LinOperator, n: int, m: int, r: int):
     def sides(f: TPoly):
         lhs = _commutator_with_b(op, r, f, rho)
         if m >= 1:
-            rhs = apply_B(r - nm, f, rho).scale(Fraction(r - nm))
-            for k in range(1, nm + 1):
-                df = f.diff(k)
-                if df:
-                    rhs = rhs - apply_B(r - nm + k, df, rho)
+            parts = [(r - nm, r - nm, f)] + [
+                (-1, r - nm + k, f.diff(k)) for k in range(1, nm + 1)]
         else:
-            rhs = apply_B(r - nm, f, rho).scale(Fraction(r))
-            for k in range(1, -nm + 1):
-                coeff = rho.one_minus_rho_pow(k)
-                if coeff:
-                    rhs = rhs - apply_B(r - nm - k, _p_mul(k, f), rho).scale(coeff)
-        return lhs, rhs
+            parts = [(r, r - nm, f)] + [
+                (-coeff, r - nm - k, _p_mul(k, f)) for k in range(1, -nm + 1)
+                if (coeff := rho.one_minus_rho_pow(k))]
+        return lhs, apply_B_sum(rho, parts)
 
     return rho, sides
 
@@ -387,13 +381,9 @@ def _cor_ltilde(n: int, m: int, r: int):
     nm = n * m
 
     def sides(f: TPoly):
-        lhs = _commutator_with_b(op, r, f, rho)
-        rhs = apply_B(r - nm, f, rho).scale(Fraction(r))
-        for k in range(1, nm + 1):
-            df = f.diff(k)
-            if df:
-                rhs = rhs - apply_B(r - nm + k, df, rho).scale(rho.rho_pow(-k))
-        return lhs, rhs
+        parts = [(r, r - nm, f)] + [(-rho.rho_pow(-k), r - nm + k, f.diff(k))
+                                    for k in range(1, nm + 1)]
+        return _commutator_with_b(op, r, f, rho), apply_B_sum(rho, parts)
 
     return rho, sides
 
@@ -401,20 +391,13 @@ def _cor_ltilde(n: int, m: int, r: int):
 def _lemma32(r: int, rho: RhoSpec):
     def sides(f: TPoly):
         a = max(f.degree(), 0)
-        big_n = max(a, a + r) + 1
-        lhs = TPoly.zero(rho.field)
-        rhs = TPoly.zero(rho.field)
-        for k in range(1, big_n + 1):
-            omr = rho.one_minus_rho_pow(k)
-            if omr:
-                lhs = lhs + apply_B(r - k, _p_mul(k, f), rho).scale(omr)
-            df = f.diff(k)
-            if df:
-                rhs = rhs - apply_B(r + k, df, rho)
+        ks = range(1, max(a, a + r) + 2)
         scalar = rho.field.from_fraction(Fraction(r))
-        for k in range(1, big_n + 1):
+        for k in ks:
             scalar = scalar - rho.one_minus_rho_pow(k)
-        return lhs, rhs + apply_B(r, f, rho).scale(scalar)
+        return (apply_B_sum(rho, [(omr, r - k, _p_mul(k, f)) for k in ks
+                                  if (omr := rho.one_minus_rho_pow(k))]),
+                apply_B_sum(rho, [(scalar, r, f)] + [(-1, r + k, f.diff(k)) for k in ks]))
 
     return rho, sides
 
@@ -423,15 +406,9 @@ def _cor_a2(m: int, r: int):
     op = build_operator(VirasoroSpec("LS", m))
 
     def sides(f: TPoly):
-        lhs = _commutator_with_b(op, r, f, RHO_ZERO)
-        rhs = apply_B(r - m, f, RHO_ZERO).scale(r - Fraction(m + 1, 2))
-        if m >= 1:
-            df = f.diff(m)
-            if df:
-                rhs = rhs - apply_B(r, df, RHO_ZERO)
-        else:
-            rhs = rhs - apply_B(r, _p_mul(-m, f), RHO_ZERO)
-        return lhs, rhs
+        lower = f.diff(m) if m >= 1 else _p_mul(-m, f)
+        return _commutator_with_b(op, r, f, RHO_ZERO), apply_B_sum(
+            RHO_ZERO, ((r - Fraction(m + 1, 2), r - m, f), (-1, r, lower)))
 
     return RHO_ZERO, sides
 

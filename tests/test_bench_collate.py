@@ -5,6 +5,7 @@ package, so this loads the script by file."""
 
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
@@ -39,7 +40,8 @@ def test_collate_two_sides(tmp_path, monkeypatch):
 
     def fake_sweep(checkout, body):
         swept.append((body, checkout.name))
-        return {"seconds": float(next(seconds)), "cases": 3, "failed": 0}
+        second = float(next(seconds))
+        return {"seconds": second, "cpu_s": second / 2, "cases": 3, "failed": 0}
     monkeypatch.setattr(tool, "run_sweep", fake_sweep)
     # a host that runs the reference loop twice as fast as the reference one
     monkeypatch.setattr(tool, "reference_s", lambda: tool.REFERENCE_S / 2)
@@ -53,10 +55,13 @@ def test_collate_two_sides(tmp_path, monkeypatch):
     assert swept == [(body, side) for body in tool.SWEEPS.values()
                      for _ in range(tool.REPEATS) for side in ("parent", "change")]
     assert set(record["sides"]["change"]["sweeps"]) == set(tool.SWEEPS)
-    assert {"exchange_rational", "t1_2_xi5", "t1_2_xi7", "cold_import"} <= set(tool.SWEEPS)
+    assert {"exchange_rational", "c11_rational", "t1_2_xi5", "t1_2_xi7",
+            "cold_import"} <= set(tool.SWEEPS)
     first = record["sides"]["change"]["sweeps"]["c7_generic_sweep"]
     assert first == {"seconds": [2.0, 4.0, 6.0], "host_scale": [2.0, 2.0, 2.0],
-                     "median_s": 4.0, "scaled_median_s": 8.0, "cases": 3, "failed": 0}
+                     "median_s": 4.0, "scaled_median_s": 8.0,
+                     "cpu_s": [1.0, 2.0, 3.0], "median_cpu_s": 2.0,
+                     "cases": 3, "failed": 0}
 
     side = record["sides"]["change"]["workloads"]["generic-rho"]["untraced"]
     assert side["seeds"] == [1, 2, 3, 4] and side["src_digests"] == ["bbb"]
@@ -104,3 +109,38 @@ def test_cold_import_sweep_times_the_cli_import_in_a_fresh_child():
     assert tool._SWEEP_WRAPPER.index("import json") > tool._SWEEP_WRAPPER.index("{body}")
     res = tool.run_sweep(TOOL_PATH.parents[1], tool.SWEEPS["cold_import"])
     assert (res["cases"], res["failed"]) == (1, 0) and 0 < res["seconds"] < 10
+    # the child's own CPU time, its interpreter start included
+    assert res["seconds"] < res["cpu_s"] < 10
+
+
+@pytest.mark.parametrize("name, want", [
+    ("exchange_generic", {"Exchange": {"generic"}}),
+    ("exchange_rational", {"Exchange": {"2"}}),
+    ("c11_rational", {"Lemma32": {"0"}, "LemmaA1": {None}, "CorA2": {None}})])
+def test_c11_sweeps_run_criterion_11_grids_at_their_fields(monkeypatch, name, want):
+    """A c11 body, run with a stand-in verify_case: every cell of each named
+    criterion-11 grid, its rho axis cut to the one field."""
+    from hlvir import selftest
+
+    tool = _load_tool()
+    seen = []
+
+    class Verdict:
+        equal, detail = True, ""
+
+    def fake_verify(case):
+        seen.append(case)
+        return Verdict()
+    monkeypatch.setattr(selftest, "verify_case", fake_verify)
+    scope = {"clock": lambda: 0.0}
+    exec(tool.SWEEPS[name], scope)
+    grids = {g.case_id: g for row in selftest.CRITERIA if row.number == 11
+             for g in row.checks if isinstance(g, selftest.Grid)}
+    # none of these grids skips a cell; a cut rho axis has one value
+    cells = sum(math.prod(len(v) for k, v in grids[case_id].axes.items() if k != "rho")
+                for case_id in want)
+    assert scope["cases"] == len(seen) == cells and scope["failed"] == 0
+    got: dict = {}
+    for case in seen:
+        got.setdefault(case.id, set()).add(case.rho and case.rho.to_text())
+    assert got == want

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hlvir import vertex
 from hlvir.exactnum import (QQ, RHO_GENERIC, RHO_ZERO, RhoSpec,
@@ -14,8 +16,8 @@ from hlvir.exactnum import (QQ, RHO_GENERIC, RHO_ZERO, RhoSpec,
 from hlvir.structure import partitions
 from hlvir.tring import TPoly, inner_product, mono_degree, mono_from_exponents
 from hlvir.vertex import (AdjointUndefinedError, QCombination, _apply_b_mono,
-                          apply_B, clear_caches, hl_q, one_row, perp_t,
-                          set_cache_enabled)
+                          apply_B, apply_B_sum, clear_caches, hl_q, one_row,
+                          perp_t, set_cache_enabled)
 
 
 def exp_series(arg_terms, max_degree):
@@ -150,6 +152,58 @@ def test_b_on_a_polynomial_without_cache_shares_entries(monkeypatch):
         set_cache_enabled(True)
     assert len(calls) <= 30
     assert got == want
+
+
+# Q, Q(rho), Q(xi_3) and Q(xi_5)
+_SUM_RHOS = (RhoSpec.rational(2), RHO_GENERIC, RhoSpec.root(3), RhoSpec.root(5))
+_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# a rational s, or (a, b, k) for the field value a + b rho^k
+_scalars = st.one_of(_fracs, st.tuples(_fracs, _fracs, st.integers(1, 4)))
+# f as (variables of a monomial, coefficient) pairs; [] is f = 0
+_polys = st.lists(st.tuples(st.lists(st.integers(1, 3), max_size=3), _fracs), max_size=3)
+
+
+def _field_scalar(rho, s):
+    if isinstance(s, Fraction):
+        return s
+    a, b, k = s
+    return rho.field.from_fraction(a) + rho.rho_pow(k) * b
+
+
+def _spec_poly(field, spec):
+    return TPoly.from_terms(field, (
+        (mono_from_exponents((v, vs.count(v)) for v in set(vs)), field.from_fraction(c))
+        for vs, c in spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(_SUM_RHOS))),
+       st.lists(st.tuples(_scalars, st.integers(-3, 3), _polys), max_size=5))
+@example(0, [(Fraction(0), 1, [([1], 1)]), ((2, -1, 1), 1, []),
+             ((Fraction(1, 2), 3, 2), 1, [([1, 2], 1), ([], Fraction(-1, 3))]),
+             (Fraction(-2), 1, [([2], 1)]), ((0, 0, 1), 0, [([3], 2)])])
+@example(1, [((0, 1, 1), -1, [([1, 1], 1)]), (Fraction(1, 3), -1, [([2], 1)]),
+             (Fraction(0), 2, []), ((1, -1, 2), 2, [([1], Fraction(1, 2))])])
+@example(2, [((0, 1, 1), 0, [([1], 1)]), ((0, 1, 2), 0, [([1], 1)]),
+             (Fraction(-1), 1, [([1, 1], 3)])])
+@example(3, [((1, 1, 1), 2, [([2, 1], 1)]), (Fraction(1, 2), 2, [([3], -1)]),
+             ((0, 0, 3), 1, [([1], 1)])])
+def test_b_sum_is_the_sum_of_scaled_b(rho_index, raw_parts):
+    """apply_B_sum equals sum s * apply_B(m, f), added term by term with TPoly
+    arithmetic, for rational and field-valued s (zero ones included), zero f
+    and repeated m."""
+    rho = _SUM_RHOS[rho_index]
+    field = rho.field
+    parts = [(_field_scalar(rho, s), m, _spec_poly(field, f)) for s, m, f in raw_parts]
+    want = TPoly.zero(field)
+    for s, m, f in parts:
+        want = want + apply_B(m, f, rho).scale(s)
+    assert apply_B_sum(rho, parts) == want
+
+
+def test_b_sum_refuses_a_polynomial_over_another_field():
+    with pytest.raises(vertex.FieldMismatchError):
+        apply_B_sum(RHO_ZERO, ((1, 0, TPoly.one(QQ)), (1, 0, TPoly.one(RHO_GENERIC.field))))
 
 
 def test_schur_q_pfaffian_at_minus_one():

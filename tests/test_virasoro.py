@@ -1,17 +1,19 @@
 """Operator construction and exact verification of the action formulas.
 Anchor values here were computed by hand from the defining series."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from hlvir.exactnum import QQ, RHO_GENERIC, RhoSpec
+from hlvir.exactnum import QQ, RHO_GENERIC, RHO_ZERO, RhoSpec
+from hlvir.selftest import CRITERIA, Grid
 from hlvir.tring import LinOperator, OpTerm, TPoly, apply, commutator_apply
-from hlvir.vertex import hl_q
-from hlvir.virasoro import (CASE_IDS, FAMILIES, TheoremCase, VirasoroSpec,
-                            build_operator, monomial_basis, rhs_T1_1,
-                            rhs_T1_2, verify_case)
+from hlvir.vertex import apply_B, hl_q, perp_t
+from hlvir.virasoro import (CASE_IDS, FAMILIES, IDENTITIES, TheoremCase,
+                            VirasoroSpec, build_operator, monomial_basis,
+                            rhs_T1_1, rhs_T1_2, verify_case)
 
 X2 = RhoSpec.root(2)
 X3 = RhoSpec.root(3)
@@ -228,6 +230,112 @@ def test_sweep_cases():
     assert verify_case(TheoremCase("LemmaA1", m=-2, r=1, degree=4)).equal
     assert verify_case(TheoremCase("CorA2", m=2, r=2, degree=4)).equal
     assert verify_case(TheoremCase("VmQ", n=2, m=1, lam=(1,))).equal
+
+
+# -- sweep sides summed in one kernel call, against their term-by-term
+# formulas: one apply_B per term, joined by TPoly scale, + and -
+
+def _p_mul(r, f):
+    return f.mul_var(r, Fraction(r))
+
+
+def _exchange_terms(i, j, rho, f):
+    rho1 = rho.rho_pow(1)
+    return (apply_B(i - 1, apply_B(j, f, rho), rho)
+            - apply_B(i, apply_B(j - 1, f, rho), rho).scale(rho1),
+            apply_B(j, apply_B(i - 1, f, rho), rho).scale(rho1)
+            - apply_B(j - 1, apply_B(i, f, rho), rho))
+
+
+def _pr_b_rhs_terms(r, m, rho, f):
+    return None, apply_B(m, _p_mul(r, f), rho) + apply_B(m + r, f, rho)
+
+
+def _tr_perp_b_rhs_terms(r, m, rho, f):
+    return None, (apply_B(m - r, f, rho).scale(Fraction(1, r))
+                  + apply_B(m, perp_t(r, f, rho), rho))
+
+
+def _prop33_rhs_terms(rho, n, m, r, f):
+    nm = n * m
+    if m >= 1:
+        rhs = apply_B(r - nm, f, rho).scale(Fraction(r - nm))
+        for k in range(1, nm + 1):
+            rhs = rhs - apply_B(r - nm + k, f.diff(k), rho)
+    else:
+        rhs = apply_B(r - nm, f, rho).scale(Fraction(r))
+        for k in range(1, -nm + 1):
+            rhs = rhs - apply_B(r - nm - k, _p_mul(k, f), rho).scale(
+                rho.one_minus_rho_pow(k))
+    return None, rhs
+
+
+def _cor_ltilde_rhs_terms(n, m, r, f):
+    rho, nm = RhoSpec.root(n), n * m
+    rhs = apply_B(r - nm, f, rho).scale(Fraction(r))
+    for k in range(1, nm + 1):
+        rhs = rhs - apply_B(r - nm + k, f.diff(k), rho).scale(rho.rho_pow(-k))
+    return None, rhs
+
+
+def _lemma32_terms(r, rho, f):
+    a = max(f.degree(), 0)
+    big_n = max(a, a + r) + 1
+    lhs = rhs = TPoly.zero(rho.field)
+    scalar = rho.field.from_fraction(Fraction(r))
+    for k in range(1, big_n + 1):
+        omr = rho.one_minus_rho_pow(k)
+        lhs = lhs + apply_B(r - k, _p_mul(k, f), rho).scale(omr)
+        rhs = rhs - apply_B(r + k, f.diff(k), rho)
+        scalar = scalar - omr
+    return lhs, rhs + apply_B(r, f, rho).scale(scalar)
+
+
+def _cor_a2_rhs_terms(m, r, f):
+    lower = f.diff(m) if m >= 1 else _p_mul(-m, f)
+    return None, (apply_B(r - m, f, RHO_ZERO).scale(r - Fraction(m + 1, 2))
+                  - apply_B(r, lower, RHO_ZERO))
+
+
+_FUSED_SIDES = {
+    "Exchange": _exchange_terms,
+    "PrB": _pr_b_rhs_terms,
+    "TrPerpB": _tr_perp_b_rhs_terms,
+    "Prop33": lambda n, m, r, f: _prop33_rhs_terms(RhoSpec.root(n), n, m, r, f),
+    "CorLtilde": _cor_ltilde_rhs_terms,
+    "Lemma32": _lemma32_terms,
+    "LemmaA1": lambda m, r, f: _prop33_rhs_terms(RHO_ZERO, 1, m, r, f),
+    "CorA2": _cor_a2_rhs_terms,
+}
+
+
+def _desk_cells(case_id):
+    """The cells of the case's criterion-11 grid, without its degree, and the
+    same cells at rho = 2 where the grid has a rho axis."""
+    grid = next(g for row in CRITERIA if row.number == 11 for g in row.checks
+                if isinstance(g, Grid) and g.case_id == case_id)
+    axes = {k: v for k, v in grid.axes.items() if k != "degree"}
+    if "rho" in axes:
+        axes["rho"] = tuple(axes["rho"]) + (RhoSpec.rational(2),)
+    for values in itertools.product(*axes.values()):
+        cell = dict(zip(axes, values))
+        if grid.skip is None or not grid.skip(**cell):
+            yield cell
+
+
+@pytest.mark.parametrize("case_id", list(_FUSED_SIDES))
+def test_fused_sides_match_their_term_by_term_formulas(case_id):
+    """Each side summed by apply_B_sum equals its formula term by term (the
+    oracle returns None for a side that is not summed), on every monomial of
+    degree <= 4, in every cell of the case's desk grid."""
+    oracle = _FUSED_SIDES[case_id]
+    row = next(row for row in IDENTITIES if row.id == case_id)
+    for cell in _desk_cells(case_id):
+        args = [cell[name] for name in row.fields]
+        rho, sides = row.fn(*args)
+        for f in monomial_basis(rho.field, 4):
+            for side, want in zip(sides(f), oracle(*args, f)):
+                assert want is None or side == want, (case_id, cell, f.to_text())
 
 
 def test_monomial_basis_counts():

@@ -15,7 +15,8 @@ is set against the parent's interquartile range (quartiles as
 
 It also times the heavy sweeps the benchmark leaves out, each in a fresh
 interpreter (cold caches): the criterion-7 straightening sweep at generic
-rho, criterion 11's ``Exchange`` grid at generic rho and at rho = 2, and
+rho; criterion 11's ``Exchange`` grid at generic rho and at rho = 2, and its
+sweeps over Q alone (``Lemma32`` at rho = 0, ``LemmaA1`` and ``CorA2``);
 ``T1.2`` with m = 1 on every partition of size at most 6 at xi_5 and at
 xi_7, fields with phi(n) = 4 and 6; and ``import hlvir.cli`` itself, the
 cold start every hlvir process pays (the child imports nothing else first).
@@ -23,7 +24,9 @@ Each sweep runs REPEATS times per side, parent and change alternating, and
 ``perfbench/run.py``'s reference loop is timed just before and just after
 every run.  The record keeps every sample, its host scale (REFERENCE_S over
 the mean of the two reference times), the median, and the median of the
-scaled samples.  Stdlib only.
+scaled samples; and beside them the child's CPU time (its ``ru_utime``,
+interpreter start and imports included), which a busy host slows less than
+the wall time.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,14 +48,19 @@ from run import REFERENCE_S, reference_s  # noqa: E402
 
 REPEATS = 3
 
-# criterion 11's Exchange grid at the one field ``rho``
-_EXCHANGE = """
+# criterion 11's grids named in ``cells``, a list of (case id, rho); a rho
+# cuts the grid's rho axis to that one field, and None keeps the grid whole
+_C11 = """
+from hlvir.exactnum import RHO_GENERIC, RHO_ZERO, RhoSpec
 from hlvir.selftest import CRITERIA, Grid
-grid = next(g for row in CRITERIA if row.number == 11 for g in row.checks
-            if getattr(g, "case_id", None) == "Exchange")
-grid = Grid(grid.case_id, {**grid.axes, "rho": (rho,)}, grid.skip)
+grids = {{g.case_id: g for row in CRITERIA if row.number == 11 for g in row.checks
+         if isinstance(g, Grid)}}
+def cut(case_id, rho):
+    grid = grids[case_id]
+    return grid if rho is None else Grid(case_id, {{**grid.axes, "rho": (rho,)}}, grid.skip)
+run = [cut(case_id, rho) for case_id, rho in {cells}]
 t0 = clock()
-oks = [ok for ok, _ in grid()]
+oks = [ok for grid in run for ok, _ in grid()]
 cases, failed = len(oks), oks.count(False)
 """
 
@@ -78,9 +87,10 @@ t0 = clock()
 failed = sum(1 for lam in labels if straighten(lam, rho).evaluate(rho) != hl_q(lam, rho))
 cases = len(labels)
 """,
-    "exchange_generic": "from hlvir.exactnum import RHO_GENERIC as rho" + _EXCHANGE,
-    "exchange_rational": "from hlvir.exactnum import RhoSpec\nrho = RhoSpec.rational(2)"
-                         + _EXCHANGE,
+    "exchange_generic": _C11.format(cells='[("Exchange", RHO_GENERIC)]'),
+    "exchange_rational": _C11.format(cells='[("Exchange", RhoSpec.rational(2))]'),
+    "c11_rational": _C11.format(
+        cells='[("Lemma32", RHO_ZERO), ("LemmaA1", None), ("CorA2", None)]'),
     "t1_2_xi5": _T1_2.format(n=5),
     "t1_2_xi7": _T1_2.format(n=7),
     "cold_import": """
@@ -200,11 +210,14 @@ def compare(base: list[dict], other: list[dict], better: dict) -> dict:
 
 def run_sweep(checkout: Path, body: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
+    cpu_before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
     proc = subprocess.run([sys.executable, "-c", _SWEEP_WRAPPER.format(body=body)],
                           capture_output=True, text=True, env=env, cwd=checkout)
     if proc.returncode:
         raise SystemExit(f"sweep failed in {checkout}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    res["cpu_s"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - cpu_before
+    return res
 
 
 def sweep_summary(samples: list[dict]) -> dict:
@@ -213,6 +226,8 @@ def sweep_summary(samples: list[dict]) -> dict:
             "median_s": statistics.median(r["seconds"] for r in samples),
             "scaled_median_s": statistics.median(r["seconds"] * r["host_scale"]
                                                  for r in samples),
+            "cpu_s": [r["cpu_s"] for r in samples],
+            "median_cpu_s": statistics.median(r["cpu_s"] for r in samples),
             "cases": samples[0]["cases"],
             "failed": max(r["failed"] for r in samples)}
 
