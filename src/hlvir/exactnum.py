@@ -15,8 +15,8 @@ point.  ``RhoSpec`` bundles the choice of specialization with its field.
 
 Each field tag owns one scaled-sum kernel, ``lincomb``: the sum of c * terms
 over (c, terms) pairs, normalized once per output key over Q (integers over
-one denominator) and Q(xi_n) (packed, folded once), one product at a time
-over Q(rho).
+one denominator), Q(xi_n) (packed, folded once) and Q(rho) (packed
+polynomial sums, one RatFunc each).
 """
 
 from __future__ import annotations
@@ -600,22 +600,35 @@ class GenericField:
 
     @staticmethod
     def lincomb(pairs: list) -> dict:
-        """The scaled-sum kernel (see ``RationalField.lincomb``) over Q(rho):
-        the packed values are added one product at a time, and c = 1 or
-        c = -1 multiplies nothing."""
-        out: dict = {}
+        """The scaled-sum kernel (see ``RationalField.lincomb``) over Q(rho).
+        A product of a polynomial value by a polynomial or rational c is one
+        packed UniPoly multiply (none when c = 1 or c = -1), added into its
+        key's UniPoly sum, and each sum becomes one RatFunc at the end, its
+        content left unreduced.  The rare products with a denominator are
+        added to those outputs at the end by RatFunc's ``+``, which reduces."""
+        if len(pairs) == 1 and pairs[0][0] == 1:  # nothing to multiply or add
+            return dict(pairs[0][1])
+        sums: dict = {}
+        rest = []  # (key, product) for the products with a denominator
+        get = sums.get
         for c, terms in pairs:
-            if type(c) is not RatFunc and (c == 1 or c == -1):
-                items = terms.items() if c == 1 else ((k, -a) for k, a in terms.items())
-            elif c:
-                items = ((k, a * c) for k, a in terms.items())
-            else:
+            if not c:
                 continue
-            if out:
-                _accumulate(out, items)
-            else:  # one dict's keys are distinct and its products nonzero
-                out.update(items)
-        return out
+            sign = 1
+            if type(c) is RatFunc:
+                cp = c.num if c.den is _UP_ONE else None  # None: products with a denominator
+            elif c == 1 or c == -1:
+                cp, sign = _UP_ONE, int(c)
+            else:
+                cp = UniPoly.constant(c)
+            for key, a in terms.items():
+                if cp is None or a.den is not _UP_ONE:
+                    rest.append((key, a * c))
+                    continue
+                p = a.num if cp is _UP_ONE else _up_mul(a.num, cp)
+                cur = get(key)
+                sums[key] = (p if sign > 0 else -p) if cur is None else _up_add(cur, p, sign)
+        return _accumulate({key: RatFunc(p, _UP_ONE) for key, p in sums.items() if p}, rest)
 
     @staticmethod
     def value_text(v: RatFunc) -> str:

@@ -483,7 +483,8 @@ def _kernel_values(field):
     if field is QQ:
         return kernel_rationals
     if field is GENERIC:
-        return ratfuncs | kernel_rationals.map(RatFunc.constant)
+        return (ratfuncs | small_unipolys.map(RatFunc.from_poly)
+                | kernel_rationals.map(RatFunc.constant))
     return st.lists(kernel_rationals, min_size=field.phi, max_size=field.phi).map(
         lambda cs: Cyclotomic.make(field.order, cs))
 
@@ -521,7 +522,9 @@ def test_lincomb_matches_the_naive_sum(case):
     for v in got.values():  # canonical values of the field
         if field is QQ:
             assert isinstance(v, Fraction)
-        elif field is not GENERIC:
+        elif field is GENERIC:
+            _assert_canonical(v)
+        else:
             assert v.poly.degree < field.phi
 
 
@@ -545,6 +548,47 @@ def test_lincomb_repacks_a_narrow_operand_once(monkeypatch):
     assert (poly._den, poly._N, poly._B) == (1, 2, 64)
     c = 2 ** 62  # c times the exact bound is 2^63 again
     assert field.lincomb([(c, {"k": a})]) == {"k": want[c]}
+
+
+def test_generic_lincomb_merges_denominators_into_polynomial_sums():
+    """Products with a denominator whose sum is a polynomial, merged with the
+    packed polynomial sum of their key: the result has the shared
+    denominator _UP_ONE, and a key whose merged sum is 0 goes."""
+    inv = 1 / (1 - RATFUNC_RHO)
+    one = GENERIC.one
+    pairs = [(1, {"a": inv, "b": inv, "c": inv}),
+             (-RATFUNC_RHO, {"a": inv, "b": inv, "c": inv}),  # 1/(1 - rho) - rho/(1 - rho) = 1
+             (RATFUNC_RHO * RATFUNC_RHO, {"a": one}),
+             (-1, {"b": one}),
+             (inv, {"d": RATFUNC_RHO - 1}),  # a denominator from c: (rho - 1)/(1 - rho) = -1
+             (Fraction(1, 3), {"d": 3 * one})]
+    got = GENERIC.lincomb(pairs)
+    assert got == {"a": 1 + RATFUNC_RHO * RATFUNC_RHO, "c": one}
+    for v in got.values():
+        assert v.den is _UP_ONE
+        _assert_canonical(v)
+
+
+def test_generic_lincomb_sums_polynomials_without_ratfunc_arithmetic(monkeypatch):
+    """Over polynomial values, with polynomial, rational and +-1 scalars, the
+    Q(rho) kernel is packed UniPoly calls only: no RatFunc product or sum."""
+    rho = RATFUNC_RHO
+    values = {"a": 1 - rho, "b": rho * rho * Fraction(2, 3), "c": GENERIC.one}
+    pairs = [(rho + 2, values), (Fraction(-5, 7), values), (1, {"a": rho}), (-1, values),
+             (GENERIC.from_fraction(3), {"b": rho}), (0, values)]
+    want = {}
+    for c, terms in pairs:
+        for k, a in terms.items():
+            want[k] = want.get(k, GENERIC.zero) + a * c
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(RatFunc, name, lambda *args, name=name: calls.append(name))
+    got = GENERIC.lincomb(pairs)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == {k: v for k, v in want.items() if v}
+    for v in got.values():
+        _assert_canonical(v)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name)

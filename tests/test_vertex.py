@@ -476,3 +476,46 @@ def test_generic_at_zero_is_jacobi_trudi():
         at_zero = TPoly.from_terms(QQ, (
             (m, specialize_at_rational(c, 0)) for m, c in generic.terms.items()))
         assert at_zero == schur, lam
+
+
+# -- classical identities of Q_lambda, checked outside the B_m recurrence
+#
+# Under the deformed pairing, <Q_lambda, Q_mu>_rho = delta_lambda_mu *
+# b_lambda(rho), where b_lambda = prod_i phi_{m_i(lambda)} and
+# phi_m(rho) = (1 - rho)(1 - rho^2)...(1 - rho^m) (Macdonald, Symmetric
+# Functions and Hall Polynomials, III.4).  ``inner_product`` adds one
+# coefficient product at a time and never calls a field's ``lincomb``, so it
+# checks the kernel sums that build Q_lambda from outside.
+
+def _b(lam, rho):
+    out = rho.field.one
+    for part in set(lam):
+        for k in range(1, lam.count(part) + 1):
+            out = out * rho.one_minus_rho_pow(k)
+    return out
+
+
+ORTHOGONALITY_RHOS = [RHO_GENERIC, RHO_ZERO, RhoSpec.rational(2), RhoSpec.rational(-1),
+                      RhoSpec.root(3), RhoSpec.root(4), RhoSpec.root(5)]
+
+
+@pytest.mark.parametrize("rho", ORTHOGONALITY_RHOS, ids=lambda rho: rho.to_text())
+def test_hall_littlewood_q_are_orthogonal(rho):
+    """All 210 pairs with |lambda| = |mu| <= 6."""
+    for size in range(7):
+        qs = {lam: hl_q(lam, rho) for lam in partitions(size)}
+        for lam, f in qs.items():
+            for mu, g in qs.items():
+                want = _b(lam, rho) if lam == mu else rho.field.zero
+                assert inner_product(f, g, rho) == want, (lam, mu)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hall_littlewood_q_vanishes_at_roots_of_unity(n):
+    """Q_lambda(xi_n) = 0 exactly when some multiplicity of lambda is at
+    least n: b_lambda(xi_n) = 0 there, and P_lambda = Q_lambda / b_lambda is
+    never 0.  Every lambda with |lambda| <= 9."""
+    rho = RhoSpec.root(n)
+    for lam in (lam for size in range(10) for lam in partitions(size)):
+        vanishes = any(lam.count(part) >= n for part in lam)
+        assert (not hl_q(lam, rho)) == vanishes, lam
