@@ -260,10 +260,7 @@ def main(argv=None) -> int:
     try:
         read_cache_max()
         return args.handler(args)
-    except SingularCoefficientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except PoleError as exc:
+    except (SingularCoefficientError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except DegeneratePairingError as exc:

@@ -229,16 +229,9 @@ _C_CACHE = _new_cache()
 
 
 def p_expand(r: int, rho: RhoSpec) -> QCombination:
-    """The degree-r power sum as a Q combination: sum_{mu of r} c_mu Q_mu."""
-    if r < 1:
-        raise ValueError("power sum index must be >= 1")
-    if rho.kind == "root" and r % rho.order == 0:
-        raise SingularCoefficientError((1,) * r, rho)
-    field = rho.field
-    out = QCombination.zero(field)
-    for mu in partitions(r):
-        out = out + QCombination.single(field, mu, c_coeff(mu, rho))
-    return out
+    """The degree-r power sum as a Q combination: sum_{mu of r} c_mu Q_mu,
+    which is p_r Q_() (so r < 1 and, at xi_n, n | r are refused alike)."""
+    return multiply_p(r, (), rho)
 
 
 def multiply_p(r: int, lam, rho: RhoSpec) -> QCombination:

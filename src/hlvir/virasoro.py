@@ -276,49 +276,13 @@ def _p_mul(r: int, f: TPoly) -> TPoly:
     return f.mul_var(r, Fraction(r))
 
 
-def _commutator_with_b(op: LinOperator, r: int, f: TPoly, rho: RhoSpec) -> TPoly:
-    return apply(op, apply_B(r, f, rho)) - apply_B(r, apply(op, f), rho)
-
-
-# single-instance identities: each returns (lhs, rhs)
-
-
-def _action(rho: RhoSpec, spec: VirasoroSpec, lam, rhs_comb: QCombination):
-    """An operator applied to Q_lam, against the closed form of its action."""
-    return apply(build_operator(spec), hl_q(lam, rho)), rhs_comb.evaluate(rho)
-
-
-def _base_a(m: int):
-    lhs = apply(build_operator(VirasoroSpec("LS", -m)), TPoly.one(QQ))
-    rhs = QCombination.from_terms(QQ, (
-        ((k,) + (1,) * (m - k),
-         Fraction((-1) ** (m - k + 1)) * (Fraction(m + 1, 2) - k))
-        for k in range(1, m + 1))).evaluate(RHO_ZERO)
-    return lhs, rhs
-
-
-def _remark_a(m: int):
-    lhs = TPoly.zero(QQ)
-    for k in range(1, m):
-        lhs = lhs + TPoly.one(QQ).mul_var(k).mul_var(m - k, Fraction(k * (m - k)))
-    rhs = QCombination.from_terms(QQ, (
-        ((k,) + (1,) * (m - k), Fraction((-1) ** (m - k) * (2 * k - m - 1)))
-        for k in range(1, m + 1))).evaluate(RHO_ZERO)
-    return lhs, rhs
+# single-instance identities: each returns (rho, op, lam, comb), and
+# verify_case compares op applied to Q_lam with comb evaluated at rho
 
 
 def _mult(r: int, lam, rho: RhoSpec):
-    return (_p_mul(r, hl_q(lam, rho)),
-            multiply_p(r, QCombination.single(rho.field, lam), rho).evaluate(rho))
-
-
-def _deriv(r: int, lam, rho: RhoSpec):
-    lam = tuple(lam)
-    lhs = hl_q(lam, rho).diff(r)
-    rhs = TPoly.zero(rho.field)
-    for i in range(len(lam)):
-        rhs = rhs + hl_q(_shift(lam, i, -r), rho)
-    return lhs, rhs.scale(rho.one_minus_rho_pow(r))
+    comb = multiply_p(r, lam, rho)  # its r >= 1 refusal comes before OpTerm's
+    return rho, LinOperator((OpTerm(Fraction(r), (("mul", r),)),)), lam, comb
 
 
 # sweeps: each returns (rho, sides), with sides(f) -> (lhs, rhs)
@@ -356,36 +320,32 @@ def _tr_perp_b(r: int, m: int, rho: RhoSpec):
         apply_B_sum(rho, ((Fraction(1, r), m - r, f), (1, m, perp_t(r, f, rho)))))
 
 
-def _prop33(rho: RhoSpec, op: LinOperator, n: int, m: int, r: int):
-    """[Lhat_m, B_r] in closed form (Prop. 3.3); at n = 1 and rho = 0, where
-    every weight 1 - rho^k is 1, this is Lemma A.1."""
-    nm = n * m
+def _commutator(rho: RhoSpec, op: LinOperator, r: int, parts: Callable):
+    """[op, B_r] f against sum s B_m g over the parts (s, m, g) of f."""
+    return rho, lambda f: (
+        apply(op, apply_B(r, f, rho)) - apply_B(r, apply(op, f), rho),
+        apply_B_sum(rho, parts(f)))
 
-    def sides(f: TPoly):
-        lhs = _commutator_with_b(op, r, f, rho)
-        if m >= 1:
-            parts = [(r - nm, r - nm, f)] + [
+
+def _prop33(rho: RhoSpec, op: LinOperator, nm: int, r: int):
+    """[Lhat_m, B_r] in closed form (Prop. 3.3), nm = n*m; at n = 1 and
+    rho = 0, where every weight 1 - rho^k is 1, this is Lemma A.1."""
+    def parts(f: TPoly):
+        if nm >= 1:
+            return [(r - nm, r - nm, f)] + [
                 (-1, r - nm + k, f.diff(k)) for k in range(1, nm + 1)]
-        else:
-            parts = [(r, r - nm, f)] + [
-                (-coeff, r - nm - k, _p_mul(k, f)) for k in range(1, -nm + 1)
-                if (coeff := rho.one_minus_rho_pow(k))]
-        return lhs, apply_B_sum(rho, parts)
+        return [(r, r - nm, f)] + [
+            (-coeff, r - nm - k, _p_mul(k, f)) for k in range(1, -nm + 1)
+            if (coeff := rho.one_minus_rho_pow(k))]
 
-    return rho, sides
+    return _commutator(rho, op, r, parts)
 
 
 def _cor_ltilde(n: int, m: int, r: int):
-    rho = RhoSpec.root(n)
+    rho, nm = RhoSpec.root(n), n * m
     op = build_operator(VirasoroSpec("Ltilde", m, n))
-    nm = n * m
-
-    def sides(f: TPoly):
-        parts = [(r, r - nm, f)] + [(-rho.rho_pow(-k), r - nm + k, f.diff(k))
-                                    for k in range(1, nm + 1)]
-        return _commutator_with_b(op, r, f, rho), apply_B_sum(rho, parts)
-
-    return rho, sides
+    return _commutator(rho, op, r, lambda f: [(r, r - nm, f)] + [
+        (-rho.rho_pow(-k), r - nm + k, f.diff(k)) for k in range(1, nm + 1)])
 
 
 def _lemma32(r: int, rho: RhoSpec):
@@ -402,24 +362,15 @@ def _lemma32(r: int, rho: RhoSpec):
     return rho, sides
 
 
-def _cor_a2(m: int, r: int):
-    op = build_operator(VirasoroSpec("LS", m))
-
-    def sides(f: TPoly):
-        lower = f.diff(m) if m >= 1 else _p_mul(-m, f)
-        return _commutator_with_b(op, r, f, RHO_ZERO), apply_B_sum(
-            RHO_ZERO, ((r - Fraction(m + 1, 2), r - m, f), (-1, r, lower)))
-
-    return RHO_ZERO, sides
-
-
 class Identity:
     """One verifiable identity: its case id, its CLI name, and ``fn``, a
     function of the case's ``fields`` in order.  A single-instance ``fn``
-    returns (lhs, rhs).  A sweep also needs the case's ``degree``; its ``fn``
-    returns (rho, sides), and sides(f) -> (lhs, rhs) is compared on every
-    monomial f up to that degree.  ``guard`` is an extra condition on one
-    field, such as "m >= 1"."""
+    returns (rho, op, lam, comb): the operator op applied to Q_lam at rho is
+    compared with the Q combination comb evaluated there.  A sweep also
+    needs the case's ``degree``; its ``fn`` returns (rho, sides), and
+    sides(f) -> (lhs, rhs) is compared on every monomial f up to that
+    degree.  ``guard`` is an extra condition on one field, such as
+    "m >= 1"."""
 
     __slots__ = ("id", "name", "fields", "sweep", "fn", "guard")
 
@@ -430,35 +381,49 @@ class Identity:
 
 
 IDENTITIES = (
-    Identity("T1.1", "T1.1", ("n", "m", "lam"), False, lambda n, m, lam: _action(
-        RhoSpec.root(n), VirasoroSpec("Lmn", m, n), lam, rhs_T1_1(n, m, lam))),
-    Identity("T1.2", "T1.2", ("n", "m", "lam"), False, lambda n, m, lam: _action(
-        RhoSpec.root(n), VirasoroSpec("Lmn", -m, n), lam, rhs_T1_2(n, m, lam))),
-    Identity("T3.3", "T3.3", ("n", "m", "lam"), False, lambda n, m, lam: _action(
-        RhoSpec.root(n), VirasoroSpec("Lhat", -m, n), lam, rhs_T3_3(n, m, lam))),
-    Identity("TA.3", "TA.3", ("m", "lam"), False, lambda m, lam: _action(
-        RHO_ZERO, VirasoroSpec("LS", m), lam, rhs_TA3(m, lam))),
-    Identity("TA.4", "TA.4", ("m", "lam"), False, lambda m, lam: _action(
-        RHO_ZERO, VirasoroSpec("LS", -m), lam, rhs_TA4(m, lam))),
-    Identity("BaseA", "baseA", ("m",), False, _base_a, "m >= 1"),
-    Identity("RemarkA", "remarkA", ("m",), False, _remark_a, "m >= 1"),
+    Identity("T1.1", "T1.1", ("n", "m", "lam"), False, lambda n, m, lam: (
+        RhoSpec.root(n), build_operator(VirasoroSpec("Lmn", m, n)), lam,
+        rhs_T1_1(n, m, lam))),
+    Identity("T1.2", "T1.2", ("n", "m", "lam"), False, lambda n, m, lam: (
+        RhoSpec.root(n), build_operator(VirasoroSpec("Lmn", -m, n)), lam,
+        rhs_T1_2(n, m, lam))),
+    Identity("T3.3", "T3.3", ("n", "m", "lam"), False, lambda n, m, lam: (
+        RhoSpec.root(n), build_operator(VirasoroSpec("Lhat", -m, n)), lam,
+        rhs_T3_3(n, m, lam))),
+    Identity("TA.3", "TA.3", ("m", "lam"), False, lambda m, lam: (
+        RHO_ZERO, build_operator(VirasoroSpec("LS", m)), lam, rhs_TA3(m, lam))),
+    Identity("TA.4", "TA.4", ("m", "lam"), False, lambda m, lam: (
+        RHO_ZERO, build_operator(VirasoroSpec("LS", -m)), lam, rhs_TA4(m, lam))),
+    # L^S_{-m} 1 is TA.4 at lam = (); W^S_{-m} 1 = sum p_k p_{m-k} is twice it
+    Identity("BaseA", "baseA", ("m",), False, lambda m: (
+        RHO_ZERO, build_operator(VirasoroSpec("LS", -m)), (), rhs_TA4(m, ())),
+        "m >= 1"),
+    Identity("RemarkA", "remarkA", ("m",), False, lambda m: (
+        RHO_ZERO, build_operator(VirasoroSpec("WS", -m)), (),
+        rhs_TA4(m, ()).scale(2)), "m >= 1"),
     Identity("MultFormula", "mult", ("r", "lam", "rho"), False, _mult),
-    Identity("DerivFormula", "deriv", ("r", "lam", "rho"), False, _deriv, "r >= 1"),
+    Identity("DerivFormula", "deriv", ("r", "lam", "rho"), False, lambda r, lam, rho: (
+        rho, LinOperator((OpTerm(_ONE, (("der", r),)),)), lam, QCombination.from_terms(
+            rho.field, ((_shift(lam, i, -r), rho.one_minus_rho_pow(r))
+                        for i in range(len(lam))))), "r >= 1"),
     Identity("Bracket", "bracket", ("n", "i", "j"), True, _bracket),
     Identity("Exchange", "exchange", ("i", "j", "rho"), True, _exchange),
     Identity("PrB", "prB", ("r", "m", "rho"), True, _pr_b, "r >= 1"),
     Identity("TrPerpB", "trPerpB", ("r", "m", "rho"), True, _tr_perp_b, "r >= 1"),
     Identity("Prop33", "prop33", ("n", "m", "r"), True, lambda n, m, r: _prop33(
-        RhoSpec.root(n), build_operator(VirasoroSpec("Lhat", m, n)), n, m, r),
+        RhoSpec.root(n), build_operator(VirasoroSpec("Lhat", m, n)), n * m, r),
         "m != 0"),
     Identity("CorLtilde", "corLtilde", ("n", "m", "r"), True, _cor_ltilde, "m >= 1"),
     Identity("Lemma32", "lemma32", ("r", "rho"), True, _lemma32),
     Identity("LemmaA1", "lemmaA1", ("m", "r"), True, lambda m, r: _prop33(
-        RHO_ZERO, LinOperator(shift=m), 1, m, r),
-        "m != 0"),
-    Identity("CorA2", "corA2", ("m", "r"), True, _cor_a2, "m != 0"),
-    Identity("VmQ", "vm", ("n", "m", "lam"), False, lambda n, m, lam: _action(
-        RhoSpec.root(n), VirasoroSpec("Vmn", m, n), lam, rhs_Vm(n, m, lam))),
+        RHO_ZERO, LinOperator(shift=m), m, r), "m != 0"),
+    Identity("CorA2", "corA2", ("m", "r"), True, lambda m, r: _commutator(
+        RHO_ZERO, build_operator(VirasoroSpec("LS", m)), r, lambda f: (
+            (r - Fraction(m + 1, 2), r - m, f),
+            (-1, r, f.diff(m) if m >= 1 else _p_mul(-m, f)))), "m != 0"),
+    Identity("VmQ", "vm", ("n", "m", "lam"), False, lambda n, m, lam: (
+        RhoSpec.root(n), build_operator(VirasoroSpec("Vmn", m, n)), lam,
+        rhs_Vm(n, m, lam))),
 )
 
 _BY_ID = {row.id: row for row in IDENTITIES}
@@ -478,9 +443,11 @@ def verify_case(case: TheoremCase) -> Verdict:
         name, op, bound = row.guard.split()
         if not _GUARD_OPS[op](getattr(case, name), int(bound)):
             raise ValueError(f"{case.id} needs {row.guard}")
-    result = row.fn(*(getattr(case, name) for name in row.fields))
+    result = row.fn(*(tuple(int(x) for x in case.lam) if name == "lam"
+                      else getattr(case, name) for name in row.fields))
     if not row.sweep:
-        lhs, rhs = result
+        rho, op, lam, comb = result
+        lhs, rhs = apply(op, hl_q(lam, rho)), comb.evaluate(rho)
         return Verdict(case, lhs == rhs, lhs, rhs, lhs - rhs)
     rho, sides = result
     if case.degree < 0:

@@ -412,6 +412,29 @@ def test_repeated_operator_key_is_exit_2(capsys):
     assert code == 2 and out == "" and "repeated parameter 'n'" in err
 
 
+# verify refusals as the hand-written handlers printed them; each row checks
+# its inputs in the same order (the operator's "Vmn is defined for m >= 1
+# only" before the right-hand side's "needs n >= 2 and m >= 1")
+_PINNED_REFUSALS = [
+    ("mult --r 0 --lambda 2,1 --rho generic", 2, "power sum index must be >= 1"),
+    ("deriv --r 0 --lambda 2,1 --rho generic", 2, "DerivFormula needs r >= 1"),
+    ("T1.1 --n 1 --m 0 --lambda 1", 2, "root of unity order must be >= 2"),
+    ("T1.2 --n 2 --m 0 --lambda 1", 2, "needs n >= 2 and m >= 1"),
+    ("vm --n 2 --m 0 --lambda 1", 2, "Vmn is defined for m >= 1 only"),
+    ("baseA --m 0", 2, "BaseA needs m >= 1"),
+    ("remarkA --m -2", 2, "RemarkA needs m >= 1"),
+    ("TA.3 --m 0 --lambda 1", 2, "needs m >= 1"),
+    ("mult --r 3 --rho xi:3 --lambda 1", 3, "c_[1, 1, 1] has a pole at rho = xi:3"),
+]
+
+
+@pytest.mark.parametrize("args, code, err", _PINNED_REFUSALS,
+                         ids=[args for args, _, _ in _PINNED_REFUSALS])
+def test_verify_refusals_are_pinned(capsys, args, code, err):
+    got = run_cli(capsys, "verify", "--case", *args.split())
+    assert got == (code, "", f"error: {err}\n")
+
+
 # -- fuzzing the whole command line in-process
 #
 # Mostly well-formed values, so that most calls get past parsing, plus junk.

@@ -10,7 +10,8 @@ import pytest
 from hlvir.exactnum import QQ, RHO_GENERIC, RHO_ZERO, RhoSpec
 from hlvir.selftest import CRITERIA, Grid
 from hlvir.tring import LinOperator, OpTerm, TPoly, apply, commutator_apply
-from hlvir.vertex import apply_B, hl_q, perp_t
+from hlvir.structure import multiply_p
+from hlvir.vertex import QCombination, apply_B, hl_q, perp_t
 from hlvir.virasoro import (CASE_IDS, FAMILIES, IDENTITIES, TheoremCase,
                             VirasoroSpec, build_operator, monomial_basis,
                             rhs_T1_1, rhs_T1_2, verify_case)
@@ -310,9 +311,9 @@ _FUSED_SIDES = {
 
 
 def _desk_cells(case_id):
-    """The cells of the case's criterion-11 grid, without its degree, and the
-    same cells at rho = 2 where the grid has a rho axis."""
-    grid = next(g for row in CRITERIA if row.number == 11 for g in row.checks
+    """The cells of the case's desk grid, without its degree, and the same
+    cells at rho = 2 where the grid has a rho axis."""
+    grid = next(g for row in CRITERIA for g in row.checks
                 if isinstance(g, Grid) and g.case_id == case_id)
     axes = {k: v for k, v in grid.axes.items() if k != "degree"}
     if "rho" in axes:
@@ -336,6 +337,71 @@ def test_fused_sides_match_their_term_by_term_formulas(case_id):
         for f in monomial_basis(rho.field, 4):
             for side, want in zip(sides(f), oracle(*args, f)):
                 assert want is None or side == want, (case_id, cell, f.to_text())
+
+
+# -- single-instance rows, each an operator on Q_lam against a Q combination,
+# against their formulas written out directly
+
+def _base_a_sides(m):
+    lhs = apply(build_operator(VirasoroSpec("LS", -m)), TPoly.one(QQ))
+    rhs = QCombination.from_terms(QQ, (
+        ((k,) + (1,) * (m - k),
+         Fraction((-1) ** (m - k + 1)) * (Fraction(m + 1, 2) - k))
+        for k in range(1, m + 1))).evaluate(RHO_ZERO)
+    return lhs, rhs
+
+
+def _remark_a_sides(m):
+    lhs = TPoly.zero(QQ)
+    for k in range(1, m):
+        lhs = lhs + TPoly.one(QQ).mul_var(k).mul_var(m - k, Fraction(k * (m - k)))
+    rhs = QCombination.from_terms(QQ, (
+        ((k,) + (1,) * (m - k), Fraction((-1) ** (m - k) * (2 * k - m - 1)))
+        for k in range(1, m + 1))).evaluate(RHO_ZERO)
+    return lhs, rhs
+
+
+def _mult_sides(r, lam, rho):
+    return (_p_mul(r, hl_q(lam, rho)),
+            multiply_p(r, QCombination.single(rho.field, lam), rho).evaluate(rho))
+
+
+def _deriv_sides(r, lam, rho):
+    rhs = TPoly.zero(rho.field)
+    for i in range(len(lam)):
+        rhs = rhs + hl_q(lam[:i] + (lam[i] - r,) + lam[i + 1:], rho)
+    return hl_q(lam, rho).diff(r), rhs.scale(rho.one_minus_rho_pow(r))
+
+
+_FOLDED_SIDES = {
+    "BaseA": _base_a_sides,
+    "RemarkA": _remark_a_sides,
+    "MultFormula": _mult_sides,
+    "DerivFormula": _deriv_sides,
+}
+
+
+@pytest.mark.parametrize("case_id", list(_FOLDED_SIDES))
+def test_folded_rows_match_their_own_formulas(case_id):
+    """Both sides of the row equal its formula in every cell of the case's
+    desk grid (criteria 5, 6 and 9), and at rho = 2 for mult and deriv."""
+    oracle = _FOLDED_SIDES[case_id]
+    row = next(row for row in IDENTITIES if row.id == case_id)
+    for cell in _desk_cells(case_id):
+        v = verify_case(TheoremCase(case_id, **cell))
+        want = oracle(*(cell[name] for name in row.fields))
+        assert v.equal and (v.lhs, v.rhs) == want, (case_id, cell)
+
+
+@pytest.mark.parametrize("case_id, fields", [
+    ("T1.1", dict(n=2, m=1)), ("T1.2", dict(n=3, m=1)), ("TA.4", dict(m=2)),
+    ("MultFormula", dict(r=2, rho=RHO_GENERIC)),
+    ("DerivFormula", dict(r=1, rho=X3)), ("VmQ", dict(n=2, m=1))])
+def test_list_valued_lambda(case_id, fields):
+    listed = verify_case(TheoremCase(case_id, lam=[2, 1, 1], **fields))
+    tupled = verify_case(TheoremCase(case_id, lam=(2, 1, 1), **fields))
+    assert listed.equal and (listed.lhs, listed.rhs) == (tupled.lhs, tupled.rhs)
+    assert listed.to_json() == tupled.to_json()
 
 
 def test_monomial_basis_counts():
