@@ -225,10 +225,6 @@ class Cyclotomic:
                 terms.append((c < 0, body))
         return signed_join(terms)
 
-    @staticmethod
-    def parse(order: int, text: str) -> "Cyclotomic":
-        return Cyclotomic(order, UniPoly.parse(text, "z") % cyclotomic_field(order).modulus)
-
 
 # ---------------------------------------------------------------------------
 # rational functions
@@ -253,9 +249,9 @@ class RatFunc:
 
     @staticmethod
     def make(num: UniPoly, den: UniPoly) -> "RatFunc":
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
+        if not num:
             return RatFunc(_UP_ZERO, _UP_ONE)
         if den.degree > 0:
             g = num.gcd(den)
@@ -275,9 +271,6 @@ class RatFunc:
     @staticmethod
     def constant(c: Union[int, Fraction]) -> "RatFunc":
         return RatFunc(UniPoly.constant(c), _UP_ONE)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -353,7 +346,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        if not o:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc.make(_up_mul(self.num, o.den), _up_mul(self.den, o.num))
 
@@ -382,25 +375,13 @@ class RatFunc:
         return f"RatFunc({self.to_text()})"
 
     def to_text(self) -> str:
-        if self.is_zero():
+        if not self:
             return "0"
         if self.is_constant():
             return str(self.num.coefficient(0))
         if self.den is _UP_ONE:
             return f"({self.num.to_text()})"
         return f"({self.num.to_text()})/({self.den.to_text()})"
-
-    @staticmethod
-    def parse(text: str) -> "RatFunc":
-        text = text.strip()
-        if not text.startswith("("):
-            return RatFunc.constant(Fraction(text))
-        if ")/(" in text:
-            n_txt, d_txt = text.split(")/(", 1)
-            num = UniPoly.parse(n_txt[1:])
-            den = UniPoly.parse(d_txt[:-1])
-            return RatFunc.make(num, den)
-        return RatFunc.from_poly(UniPoly.parse(text[1:-1]))
 
 
 RATFUNC_RHO = RatFunc.from_poly(UNIPOLY_X)
@@ -424,8 +405,8 @@ def specialize_at_root(f: Union[RatFunc, UniPoly], n: int) -> Cyclotomic:
     while True:
         nq, nr = divmod(num, Phi)
         dq, dr = divmod(den, Phi)
-        if dr.is_zero():
-            if nr.is_zero():
+        if not dr:
+            if not nr:
                 num, den = nq, dq  # common factor Phi_n: cancel and retry
                 continue
             raise PoleError(f"pole at xi_{n}")
@@ -506,10 +487,6 @@ class RationalField:
             return -1, -v
         return 1, v
 
-    @staticmethod
-    def parse(text: str) -> Fraction:
-        return Fraction(text)
-
     def __repr__(self):
         return "QQ"
 
@@ -578,9 +555,6 @@ class CyclotomicFieldTag:
             return -1, -v
         return 1, v
 
-    def parse(self, text: str) -> Cyclotomic:
-        return Cyclotomic.parse(self.order, text)
-
     def __repr__(self):
         return f"QQxi({self.order})"
 
@@ -643,10 +617,6 @@ class GenericField:
         if v.is_constant() and v.num.coefficient(0) < 0:
             return -1, -v
         return 1, v
-
-    @staticmethod
-    def parse(text: str) -> RatFunc:
-        return RatFunc.parse(text)
 
     def __repr__(self):
         return "QQrho"
@@ -742,13 +712,6 @@ class RhoSpec(Frozen):
         if self.kind == "rational":
             return ("q", self.value.numerator, self.value.denominator)
         return ("x", self.order)
-
-    def rho(self):
-        if self.kind == "generic":
-            return RATFUNC_RHO
-        if self.kind == "rational":
-            return self.value
-        return Cyclotomic.generator(self.order)
 
     def rho_pow(self, k: int):
         """rho^k as a field value (k may be negative where defined)."""

@@ -12,7 +12,6 @@ Q(xi_n) value is a UniPoly of degree < phi(n), reduced mod Phi_n by
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -188,9 +187,6 @@ class UniPoly:
 
     # -- queries
 
-    def is_zero(self) -> bool:
-        return not self._p
-
     def __bool__(self) -> bool:
         return self._p != 0
 
@@ -301,33 +297,33 @@ class UniPoly:
 
     def divexact(self, other: "UniPoly") -> "UniPoly":
         q, r = divmod(self, other)
-        if not r.is_zero():
+        if r:
             raise ValueError("inexact polynomial division")
         return q
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
+        if not self:
             return self
         cs, _ = self._reduced()
         return UniPoly._from_vec(cs, cs[-1])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         a, b = self, other
-        while not b.is_zero():
+        while b:
             a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return a.monic() if a else a
 
     def xgcd(self, other: "UniPoly"):
         """Extended Euclid: returns (g, s, t) with s*self + t*other = g, g monic."""
         r0, r1 = self, other
         s0, s1 = _UP_ONE, _UP_ZERO
         t0, t1 = _UP_ZERO, _UP_ONE
-        while not r1.is_zero():
+        while r1:
             q, r = divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
             t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
+        if not r0:
             return r0, s0, t0
         cs, den = r0._reduced()  # 1 / lead == den / cs[-1]
         return r0.monic(), _up_scale(s0, den, cs[-1]), _up_scale(t0, den, cs[-1])
@@ -370,7 +366,7 @@ class UniPoly:
 
     # -- text (descending powers, canonical)
 
-    def to_text(self, symbol: str = RHO_SYMBOL) -> str:
+    def to_text(self) -> str:
         cs, den = self._reduced()
         terms = []
         for i in range(len(cs) - 1, -1, -1):
@@ -380,19 +376,10 @@ class UniPoly:
             if i == 0:
                 body = str(mag)
             else:
-                xs = symbol if i == 1 else f"{symbol}^{i}"
+                xs = RHO_SYMBOL if i == 1 else f"{RHO_SYMBOL}^{i}"
                 body = xs if mag == 1 else f"{mag}*{xs}"
             terms.append((cs[i] < 0, body))
         return signed_join(terms)
-
-    @staticmethod
-    def parse(text: str, symbol: str = RHO_SYMBOL) -> "UniPoly":
-        terms = _split_signed_terms(text)
-        acc = _UP_ZERO
-        for sign, tok in terms:
-            coeff, power = _parse_power_term(tok, symbol)
-            acc = acc + UniPoly.x_pow(power, sign * coeff)
-        return acc
 
 
 # The packed kernels.  Each takes its fast path when its operands share a
@@ -571,37 +558,3 @@ def _as_unipoly(x):
 _UP_ZERO = UniPoly(0, 1, 64, 0)
 _UP_ONE = UniPoly(1, 1, 64, 1)
 UNIPOLY_X = UniPoly(1 << 64, 1, 64, 1)
-
-
-def _split_signed_terms(text: str) -> list[tuple[int, str]]:
-    text = text.strip()
-    if not text:
-        raise ValueError("empty expression")
-    out = []
-    # terms are joined canonically by " + " / " - "
-    pieces = re.split(r" ([+-]) ", text)
-    first = pieces[0]
-    sign = 1
-    if first.startswith("-"):
-        sign, first = -1, first[1:]
-    out.append((sign, first.strip()))
-    for i in range(1, len(pieces), 2):
-        s = 1 if pieces[i] == "+" else -1
-        out.append((s, pieces[i + 1].strip()))
-    return out
-
-
-def _parse_power_term(tok: str, symbol: str) -> tuple[Fraction, int]:
-    if "*" in tok:
-        c_txt, p_txt = tok.split("*", 1)
-        coeff = Fraction(c_txt)
-    else:
-        c_txt, p_txt = None, tok
-        coeff = Fraction(1)
-    if p_txt == symbol:
-        return coeff, 1
-    if p_txt.startswith(symbol + "^"):
-        return coeff, int(p_txt[len(symbol) + 1:])
-    if c_txt is None:
-        return Fraction(p_txt), 0
-    raise ValueError(f"cannot parse term {tok!r}")

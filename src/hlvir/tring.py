@@ -99,9 +99,6 @@ class Sparse:
     def from_terms(cls, field, items: Iterable[tuple[object, object]]):
         return cls(field, _accumulate({}, ((k, c) for k, c in items if c)))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -167,12 +164,6 @@ class Sparse:
     def to_json(self) -> list:
         return [{self._JSON_KEY: self._key_to_json(k), "coeff": self.field.value_text(c)}
                 for k, c in self.canonical_items()]
-
-    @classmethod
-    def from_json(cls, field, data: list):
-        return cls.from_terms(
-            field, ((cls._key_from_json(e[cls._JSON_KEY]), field.parse(e["coeff"]))
-                    for e in data))
 
 
 class TPoly(Sparse):
@@ -289,10 +280,6 @@ class TPoly(Sparse):
     def _key_to_json(m: Mono) -> dict:
         return {str(v): e for v, e in m}
 
-    @staticmethod
-    def _key_from_json(data: dict) -> Mono:
-        return mono_from_exponents((int(v), int(e)) for v, e in data.items())
-
 
 # ---------------------------------------------------------------------------
 # linear operators as data
@@ -342,7 +329,7 @@ def _apply_term(term: OpTerm, f: TPoly) -> TPoly:
         g = g.diff(a) if kind == "der" else g.mul_var(a)
         if not g.terms:
             return g
-    return g.scale(term.coeff)
+    return g if term.coeff == 1 else g.scale(term.coeff)
 
 
 def apply(op: LinOperator, f: TPoly) -> TPoly:

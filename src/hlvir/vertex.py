@@ -273,8 +273,3 @@ class QCombination(Sparse):
     @staticmethod
     def _key_to_json(label: Label) -> list:
         return list(label)
-
-    @staticmethod
-    def _key_from_json(data: list) -> Label:
-        return tuple(int(x) for x in data)
-

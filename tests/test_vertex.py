@@ -308,7 +308,9 @@ def test_qcombination_text_and_json():
     comb = QCombination.from_terms(QQ, (((2,), Fraction(1)),
                                         ((1, 1), Fraction(-1, 2))))
     assert comb.to_text() == "1*Q[2] - 1/2*Q[1,1]"
-    assert QCombination.from_json(QQ, comb.to_json()) == comb
+    assert comb.to_json() == [{"label": [2], "coeff": "1"},
+                              {"label": [1, 1], "coeff": "-1/2"}]
+    assert QCombination.single(QQ, (2, 1)).to_json() == [{"label": [2, 1], "coeff": "1"}]
     assert QCombination.zero(QQ).to_text() == "0"
 
 
