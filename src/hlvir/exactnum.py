@@ -16,14 +16,16 @@ point.  ``RhoSpec`` bundles the choice of specialization with its field.
 Each field tag owns one scaled-sum kernel, ``lincomb``: the sum of c * terms
 over (c, terms) pairs, normalized once per output key over Q (integers over
 one denominator), Q(xi_n) (packed, folded once) and Q(rho) (packed
-polynomial sums, one RatFunc each).
+polynomial sums, one RatFunc each).  ``lincomb_den`` returns the same sum
+as (den, values): over Q, integer numerators over one positive denominator
+with their content removed; over the other fields, (1, canonical values).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .rhopoly import (UNIPOLY_X, FieldMismatchError, UniPoly, _fr, _UP_ONE, _UP_ZERO, _up_add,
@@ -434,6 +436,21 @@ def specialize_at_rational(f: Union[RatFunc, UniPoly], r: Union[int, Fraction]) 
 # coefficient fields (tags shared by polynomials, operators, combinations)
 
 
+def _lincomb_den(tag, pairs: list) -> tuple:
+    """``lincomb`` in the two-value form of ``RationalField.lincomb_den``:
+    (1, canonical values)."""
+    return 1, tag.lincomb(pairs)
+
+
+def _rescale(acc: dict, den: int, d: int) -> int:
+    """Grow the common denominator den of the integer sums in acc to
+    lcm(den, d), rescaling them in place; return the new one."""
+    s = lcm(den, d) // den
+    for k in acc:
+        acc[k] *= s
+    return den * s
+
+
 class RationalField:
     """Plain Q with Fraction values."""
 
@@ -448,30 +465,43 @@ class RationalField:
         return _fr(c)
 
     @staticmethod
-    def lincomb(pairs: list) -> dict:
+    def lincomb_den(pairs: list) -> tuple:
         """The scaled-sum kernel: {key: sum of c * terms[key]} over a list of
         (c, terms) pairs, each c a rational or a value of the field and each
-        terms a dict of nonzero values; zero sums are dropped and every value
-        is canonical.  Over Q a product is an integer numerator over L, the
-        lcm of the denominators so far, and each output is one
-        Fraction(sum, L)."""
-        if len(pairs) == 1 and pairs[0][0] == 1:  # nothing to multiply or add
-            return dict(pairs[0][1])
+        terms a dict of nonzero values, with zero sums dropped, returned as
+        (den, numerators).  Over Q a terms dict holds Fractions, or ints
+        alone (the numerators of a B-table entry, whose denominator the
+        caller folds into c).  A product is an integer numerator over L, the
+        lcm of the denominators so far; a dict of ints is scaled by one
+        factor.  The sums' content is divided out once at the end, so
+        den > 0 and gcd(den, *numerators) = 1."""
         acc, den = {}, 1
         get = acc.get
         for c, terms in pairs:
-            if not c:
+            if not c or not terms:
                 continue
             cn, cd = c.numerator, c.denominator
+            if type(next(iter(terms.values()))) is int:
+                if den % cd:
+                    den = _rescale(acc, den, cd)
+                f = cn * (den // cd)
+                for key, a in terms.items():
+                    acc[key] = get(key, 0) + f * a
+                continue
             for key, a in terms.items():
                 d = cd * a.denominator
-                if den % d:  # L grows: rescale the sums so far
-                    s = lcm(den, d) // den
-                    den *= s
-                    for k in acc:
-                        acc[k] *= s
+                if den % d:
+                    den = _rescale(acc, den, d)
                 acc[key] = get(key, 0) + cn * a.numerator * (den // d)
-        return {key: Fraction(v, den) for key, v in acc.items() if v}
+        g = gcd(den, *acc.values())
+        return den // g, {key: v // g for key, v in acc.items() if v}
+
+    @staticmethod
+    def lincomb(pairs: list) -> dict:
+        """``lincomb_den``'s sums as canonical values, one Fraction per key
+        (every field's ``lincomb`` returns canonical values)."""
+        den, acc = RationalField.lincomb_den(pairs)
+        return {key: Fraction(v, den) for key, v in acc.items()}
 
     @staticmethod
     def value_text(v: Fraction) -> str:
@@ -528,7 +558,7 @@ class CyclotomicFieldTag:
         return Cyclotomic.constant(self.order, c)
 
     def lincomb(self, pairs: list) -> dict:
-        """The scaled-sum kernel (see ``RationalField.lincomb``) over
+        """The scaled-sum kernel (see ``RationalField.lincomb_den``) over
         Q(xi_n): rhopoly's ``_up_lincomb`` adds the packed products of the
         polys and folds each sum mod Phi_n, with its content reduced, once."""
         if len(pairs) == 1 and pairs[0][0] == 1:  # nothing to multiply or add
@@ -538,6 +568,8 @@ class CyclotomicFieldTag:
                             for c, terms in pairs if c), self.phi, self.rows)
         order = self.order
         return {key: Cyclotomic(order, v) for key, v in sums.items()}
+
+    lincomb_den = _lincomb_den
 
     @staticmethod
     def value_text(v: Cyclotomic) -> str:
@@ -574,7 +606,7 @@ class GenericField:
 
     @staticmethod
     def lincomb(pairs: list) -> dict:
-        """The scaled-sum kernel (see ``RationalField.lincomb``) over Q(rho).
+        """The scaled-sum kernel (see ``RationalField.lincomb_den``) over Q(rho).
         A product of a polynomial value by a polynomial or rational c is one
         packed UniPoly multiply (none when c = 1 or c = -1), added into its
         key's UniPoly sum, and each sum becomes one RatFunc at the end, its
@@ -603,6 +635,8 @@ class GenericField:
                 cur = get(key)
                 sums[key] = (p if sign > 0 else -p) if cur is None else _up_add(cur, p, sign)
         return _accumulate({key: RatFunc(p, _UP_ONE) for key, p in sums.items() if p}, rest)
+
+    lincomb_den = _lincomb_den
 
     @staticmethod
     def value_text(v: RatFunc) -> str:

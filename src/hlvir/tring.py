@@ -334,6 +334,8 @@ def _apply_term(term: OpTerm, f: TPoly) -> TPoly:
 
 def apply(op: LinOperator, f: TPoly) -> TPoly:
     """Apply a linear operator to a polynomial (exact, term by term)."""
+    if op.shift is None and len(op.finite) == 1:
+        return _apply_term(op.finite[0], f)
     out: dict = {}
     for term in op.finite:
         _accumulate(out, _apply_term(term, f).terms.items())

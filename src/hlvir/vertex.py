@@ -16,6 +16,14 @@ of another plus a -1/k multiple of a third.  That step, E_j, B_m f as a
 sum over the monomials of f (or a sum of scaled B_m f over several m and
 f, ``apply_B_sum``), and the expansion of a combination of Q's are each
 one call of the field's scaled-sum kernel (``lincomb`` in ``exactnum``).
+
+The B table holds each entry B_m t^mu (E_m among them) in the kernel's
+two-value form (den, {mono: value}) of ``lincomb_den``: over Q, integer
+numerators over one positive denominator with their content removed, so
+a step is integer work; over the other fields, den = 1 and canonical
+values.  ``apply_B_sum`` folds an entry's den into the scalar of its pair,
+and every value that leaves this module (``one_row``, ``apply_B``,
+``hl_q``, ``QCombination.evaluate``) is canonical, a Fraction over Q.
 Everything here is exact over Q, Q(rho), or a cyclotomic field.
 """
 
@@ -55,7 +63,7 @@ def _new_cache() -> OrderedDict:
     return cache
 
 
-_B_CACHE = _new_cache()  # B_m t^mu by (rho, m, mu); E_m = B_m 1 is (rho, m, ())
+_B_CACHE = _new_cache()  # entry of B_m t^mu by (rho, m, mu); E_m = B_m 1 is (rho, m, ())
 _Q_CACHE = _new_cache()
 
 
@@ -96,41 +104,66 @@ def _cache_put(cache: OrderedDict, key, value):
 
 
 # ---------------------------------------------------------------------------
+# entries of the B table
+
+_ZERO_ENTRY = (1, {})
+
+
+def _over(c, den: int):
+    """c / den for the denominator of a table entry: c itself when den = 1
+    (always, outside Q), else one Fraction."""
+    return c if den == 1 else Fraction(c.numerator, c.denominator * den)
+
+
+def _poly(field, entry) -> TPoly:
+    """The polynomial of a table entry, with canonical values."""
+    den, terms = entry
+    return TPoly(field, field.lincomb([(Fraction(1, den), terms)]))
+
+
+# ---------------------------------------------------------------------------
 # one-row generators
 
-def one_row(i: int, rho: RhoSpec) -> TPoly:
-    """E_i = Q_{(i)}, from j*E_j = sum_{k=1}^{j} k (1 - rho^k) t_k E_{j-k},
+def _row(i: int, rho: RhoSpec) -> tuple:
+    """The entry of E_i, from j*E_j = sum_{k=1}^{j} k (1 - rho^k) t_k E_{j-k},
     built up from E_0 through every E_j not cached yet (as the B_j 1 entry)."""
     field, rho_key = rho.field, rho.key
     if i < 0:
-        return TPoly.zero(field)
-    if i == 0:
-        return _cache_put(_B_CACHE, (rho_key, 0, ()), TPoly.one(field))
+        return _ZERO_ENTRY
     hit = _B_CACHE.get((rho_key, i, ()))
     if hit is not None:
         return hit
-    rows = [TPoly.one(field)]
+    unit = field.lincomb_den([(1, {(): field.one})])
+    if i == 0:
+        return _cache_put(_B_CACHE, (rho_key, 0, ()), unit)
+    rows = [unit]
     for j in range(1, i + 1):
         key = (rho_key, j, ())
         row = _B_CACHE.get(key)
         if row is None:
-            row = _cache_put(_B_CACHE, key, TPoly(field, field.lincomb([
-                (f * Fraction(k, j),
-                 {mono_mul_var(mo, k): a for mo, a in rows[j - k].terms.items()})
-                for k in range(1, j + 1) if (f := rho.one_minus_rho_pow(k))])))
+            row = _cache_put(_B_CACHE, key, field.lincomb_den([
+                (_over(f * Fraction(k, j), rows[j - k][0]),
+                 {mono_mul_var(mo, k): a for mo, a in rows[j - k][1].items()})
+                for k in range(1, j + 1) if (f := rho.one_minus_rho_pow(k))]))
         rows.append(row)
     return rows[i]
+
+
+def one_row(i: int, rho: RhoSpec) -> TPoly:
+    """E_i = Q_{(i)}."""
+    return _poly(rho.field, _row(i, rho))
 
 
 # ---------------------------------------------------------------------------
 # row operators on monomials
 
-def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> TPoly:
-    """B_m t^mono by the commutation relation in the module docstring,
-    peeling the largest t_k first, so shorter entries keep the small indices
-    that many monomials share.  A loop: each entry (j, nu) met is built once,
-    kept in ``done`` (a memo that the caller shares between the monomials of
-    one polynomial, so ``--no-cache`` stays polynomial) and cached."""
+def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> tuple:
+    """The entry of B_m t^mono, by the commutation relation in the module
+    docstring, peeling the largest t_k first, so shorter entries keep the
+    small indices that many monomials share.  A loop: each entry (j, nu)
+    met is built once, kept in ``done`` (a memo that the caller shares
+    between the monomials of one polynomial, so ``--no-cache`` stays
+    polynomial) and cached."""
     field, rho_key = rho.field, rho.key
     todo = [(m, mono)]
     while todo:
@@ -140,9 +173,9 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> TPoly:
         key = (rho_key, j, mu)
         out = _B_CACHE.get(key)
         if out is None and j + mono_degree(mu) < 0:
-            out = TPoly.zero(field)
+            out = _ZERO_ENTRY
         elif out is None and not mu:
-            out = one_row(j, rho)
+            out = _row(j, rho)
         elif out is None:
             k, e = mu[-1]
             nu = mu[:-1] + ((k, e - 1),) if e > 1 else mu[:-1]
@@ -150,9 +183,10 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> TPoly:
             if need:
                 todo += [entry] + need
                 continue
-            shifted = {mono_mul_var(mo, k): c for mo, c in done[j, nu].terms.items()}
-            terms = field.lincomb([(1, shifted), (Fraction(-1, k), done[j + k, nu].terms)])
-            out = _cache_put(_B_CACHE, key, TPoly(field, terms))
+            (d1, t1), (d2, t2) = done[j, nu], done[j + k, nu]
+            shifted = {mono_mul_var(mo, k): c for mo, c in t1.items()}
+            out = _cache_put(_B_CACHE, key, field.lincomb_den(
+                [(_over(1, d1), shifted), (Fraction(-1, k * d2), t2)]))
         done[entry] = out
     return done[m, mono]
 
@@ -160,9 +194,10 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> TPoly:
 def apply_B_sum(rho: RhoSpec, parts: Iterable[tuple]) -> TPoly:
     """sum of s * B_m f over the (s, m, f) parts, each s a rational or a value
     of rho's field, as one call of the field's scaled-sum kernel: each
-    monomial c t^mu of each f is one pair (c*s, B_m t^mu).  A part with
-    s = 0 or f = 0 adds nothing."""
-    field = rho.field
+    monomial c t^mu of each f is one pair (c*s over the entry's
+    denominator, the entry of B_m t^mu).  A part with s = 0 or f = 0 adds
+    nothing."""
+    field, rho_key = rho.field, rho.key
     done: dict = {}
     pairs = []
     for s, m, f in parts:
@@ -170,8 +205,10 @@ def apply_B_sum(rho: RhoSpec, parts: Iterable[tuple]) -> TPoly:
             raise FieldMismatchError("apply_B needs f over rho's coefficient field")
         if s:
             one = s == 1
-            pairs += [(c if one else c * s, _apply_b_mono(rho, m, mono, done).terms)
-                      for mono, c in f.terms.items()]
+            for mono, c in f.terms.items():
+                den, terms = (_B_CACHE.get((rho_key, m, mono))  # most entries are cached
+                              or _apply_b_mono(rho, m, mono, done))
+                pairs.append((_over(c if one else c * s, den), terms))
     return TPoly(field, field.lincomb(pairs))
 
 

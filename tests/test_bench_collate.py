@@ -57,10 +57,12 @@ def test_collate_two_sides(tmp_path, monkeypatch):
     assert set(record["sides"]["change"]["sweeps"]) == set(tool.SWEEPS)
     assert {"exchange_rational", "c11_rational", "t1_2_xi5", "t1_2_xi7",
             "cold_import"} <= set(tool.SWEEPS)
+    # five runs a side: three cannot resolve a 10% change in a sweep
+    assert tool.REPEATS == 5
     first = record["sides"]["change"]["sweeps"]["c7_generic_sweep"]
-    assert first == {"seconds": [2.0, 4.0, 6.0], "host_scale": [2.0, 2.0, 2.0],
-                     "median_s": 4.0, "scaled_median_s": 8.0,
-                     "cpu_s": [1.0, 2.0, 3.0], "median_cpu_s": 2.0,
+    assert first == {"seconds": [2.0, 4.0, 6.0, 8.0, 10.0], "host_scale": [2.0] * 5,
+                     "median_s": 6.0, "scaled_median_s": 12.0,
+                     "cpu_s": [1.0, 2.0, 3.0, 4.0, 5.0], "median_cpu_s": 3.0,
                      "cases": 3, "failed": 0}
 
     side = record["sides"]["change"]["workloads"]["generic-rho"]["untraced"]

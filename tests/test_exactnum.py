@@ -3,6 +3,7 @@ numbers, rational functions, and specialization at roots of unity."""
 
 import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -552,6 +553,28 @@ def test_lincomb_matches_the_naive_sum(case):
             _assert_canonical(v)
         else:
             assert v.poly.degree < field.phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(kernel_rationals | st.sampled_from([0, 1, -1]), st.one_of(
+    st.dictionaries(st.integers(0, 5), kernel_rationals.filter(bool), max_size=5),
+    st.dictionaries(st.integers(0, 5), st.integers(-10 ** 20, 10 ** 20).filter(bool),
+                    max_size=5))), max_size=5))
+def test_rational_lincomb_den_sums_fractions_and_integer_numerators(pairs):
+    """Over Q the kernel takes dicts of Fractions and dicts of ints alike,
+    returns integer numerators over one positive denominator with no common
+    content, and its Fraction wrapper returns only Fractions."""
+    want: dict = {}
+    for c, terms in pairs:
+        for k, a in terms.items():
+            want[k] = want.get(k, 0) + Fraction(a) * c
+    want = {k: v for k, v in want.items() if v}
+    den, nums = QQ.lincomb_den(pairs)
+    assert type(den) is int and den > 0 and gcd(den, *nums.values()) == 1
+    assert all(type(v) is int and v for v in nums.values())
+    assert {k: Fraction(v, den) for k, v in nums.items()} == want
+    got = QQ.lincomb(pairs)
+    assert got == want and all(type(v) is Fraction for v in got.values())
 
 
 def test_lincomb_repacks_a_narrow_operand_once(monkeypatch):

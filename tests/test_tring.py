@@ -158,6 +158,15 @@ def test_operator_linearity(f, g):
     assert apply(op, f + g) == apply(op, f) + apply(op, g)
 
 
+@given(tpolys, st.integers(1, 4))
+def test_one_term_operator_is_its_direct_call(f, r):
+    """An operator of one term and no grading sum is that term applied to f."""
+    assert apply(LinOperator((OpTerm(Fraction(1), (("der", r),)),)), f) == f.diff(r)
+    assert apply(LinOperator((OpTerm(Fraction(r), (("mul", r),)),)), f) == f.mul_var(r, r)
+    assert (apply(LinOperator((OpTerm(Fraction(-2, 3), (("mul", 1), ("der", r))),)), f)
+            == f.diff(r).mul_var(1).scale(Fraction(-2, 3)))
+
+
 def test_commutator_apply_antisymmetry():
     a = LinOperator((OpTerm(Fraction(1), (("der", 1),)),))
     b = LinOperator((OpTerm(Fraction(1), (("mul", 1),)),))

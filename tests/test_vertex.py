@@ -4,7 +4,7 @@ expanded exponential generating function."""
 
 from collections import OrderedDict
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -81,14 +81,27 @@ def _lower_coeffs(f):
     return g
 
 
+def _entry_poly(field, entry):
+    """den^-1 times the numerators of a B-table entry, as a polynomial; over
+    Q the entry's numerators are ints with no content left over den > 0."""
+    den, terms = entry
+    if field is QQ:
+        assert den > 0 and all(type(v) is int for v in terms.values())
+        assert gcd(den, *terms.values()) == 1
+    else:
+        assert den == 1
+    return TPoly(field, {mo: v * Fraction(1, den) for mo, v in terms.items()})
+
+
 @pytest.mark.parametrize("cached", [True, False])
 @pytest.mark.parametrize("rho, max_degree", [
     (RHO_GENERIC, 6), (RHO_ZERO, 6), (RhoSpec.rational(2), 6), (RhoSpec.root(3), 6),
-    (RhoSpec.root(5), 5)])
+    (RhoSpec.root(5), 5), (RhoSpec.rational(Fraction(1, 2)), 6), (RhoSpec.rational(-1), 6)])
 def test_b_on_monomials_matches_derivative_route(rho, max_degree, cached):
-    """B_m t^mu equals sum_j E_{m+j} g_j with g_j from the derivatives, for
-    every monomial up to max_degree and m in -6..6; uncached, every entry
-    comes from the memo of its own call."""
+    """B_m t^mu, from its table entry, equals sum_j E_{m+j} g_j with g_j from
+    the derivatives, for every monomial up to max_degree and m in -6..6;
+    uncached, every entry comes from the memo of its own call.  rho = 1/2
+    puts denominators in rho itself, rho = -1 zero weights 1 - rho^k."""
     field = rho.field
     clear_caches()
     set_cache_enabled(cached)
@@ -102,7 +115,8 @@ def test_b_on_monomials_matches_derivative_route(rho, max_degree, cached):
                     for j, gj in enumerate(g):
                         if m + j >= 0 and gj:
                             want = want + one_row(m + j, rho) * gj
-                    assert _apply_b_mono(rho, m, mono, {}) == want, (rho, m, mono)
+                    got = _entry_poly(field, _apply_b_mono(rho, m, mono, {}))
+                    assert got == want, (rho, m, mono)
     finally:
         set_cache_enabled(True)
 
@@ -111,7 +125,7 @@ def test_b_on_monomials_without_cache_builds_each_entry_once(monkeypatch):
     # B_0 t_1^10 peels ten t_1's down to E_0..E_10: 11 rows, where a
     # recursion without a per-call memo would reach them 2^10 times
     calls = []
-    row = vertex.one_row
+    row = vertex._row
 
     def counted(i, rho):
         calls.append(i)
@@ -120,7 +134,7 @@ def test_b_on_monomials_without_cache_builds_each_entry_once(monkeypatch):
     mono = ((1, 10),)
     clear_caches()
     want = _apply_b_mono(RHO_ZERO, 0, mono, {})
-    monkeypatch.setattr(vertex, "one_row", counted)
+    monkeypatch.setattr(vertex, "_row", counted)
     set_cache_enabled(False)
     try:
         got = _apply_b_mono(RHO_ZERO, 0, mono, {})
@@ -135,7 +149,7 @@ def test_b_on_a_polynomial_without_cache_shares_entries(monkeypatch):
     # Q_(4,3,2,2,1) reads E_0..E_12 a few times per apply_B call, where a
     # memo per monomial rebuilt them 153 times
     calls = []
-    row = vertex.one_row
+    row = vertex._row
 
     def counted(i, rho):
         calls.append(i)
@@ -144,7 +158,7 @@ def test_b_on_a_polynomial_without_cache_shares_entries(monkeypatch):
     label = (4, 3, 2, 2, 1)
     clear_caches()
     want = hl_q(label, RHO_ZERO)
-    monkeypatch.setattr(vertex, "one_row", counted)
+    monkeypatch.setattr(vertex, "_row", counted)
     set_cache_enabled(False)
     try:
         got = hl_q(label, RHO_ZERO)
@@ -371,9 +385,9 @@ def test_cache_toggle_preserves_results():
 
 def test_one_row_without_cache_builds_each_row_once(monkeypatch):
     # E_j is one field sum of a term per k <= j, so E_1..E_20 take 20 sums
-    # of 210 terms in all
+    # of 210 terms in all, after one sum of one term for E_0's entry
     calls = []
-    lincomb = QQ.lincomb
+    lincomb = QQ.lincomb_den
 
     def counted(pairs):
         calls.append(len(pairs))
@@ -382,14 +396,40 @@ def test_one_row_without_cache_builds_each_row_once(monkeypatch):
     clear_caches()
     want = one_row(20, RHO_ZERO)
     clear_caches()
-    monkeypatch.setattr(QQ, "lincomb", counted)
+    monkeypatch.setattr(QQ, "lincomb_den", counted)
     set_cache_enabled(False)
     try:
         got = one_row(20, RHO_ZERO)
     finally:
         set_cache_enabled(True)
-    assert len(calls) == 20 and sum(calls) == 210
+    assert len(calls) == 21 and sum(calls) == 211
     assert got == want
+
+
+@pytest.mark.parametrize("rho", [RHO_ZERO, RhoSpec.rational(2), RhoSpec.rational(Fraction(1, 2))])
+def test_b_table_holds_ints_and_results_hold_fractions(rho):
+    """Over Q every B-table entry is (den, {mono: int}), and every value read
+    out of the table is a Fraction: one_row, apply_B (B_1 1 = E_1 is the
+    kernel's single pair with c = 1 and den = 1), hl_q and
+    QCombination.evaluate."""
+    clear_caches()
+    try:
+        results = [one_row(i, rho) for i in range(-1, 6)]
+        results += [apply_B(1, TPoly.one(QQ), rho), apply_B(-1, one_row(3, rho), rho),
+                    apply_B_sum(rho, ((Fraction(1, 3), 2, hl_q((2, 1), rho)),
+                                      (-1, 1, one_row(2, rho))))]
+        results += [hl_q(lam, rho) for size in range(6) for lam in partitions(size)]
+        results += [QCombination.single(QQ, (2, 1)).evaluate(rho),
+                    QCombination(QQ, {(3,): Fraction(1, 2), (2, 1): Fraction(-2)}).evaluate(rho)]
+        assert all(r.terms for r in results[2:])
+        assert all(type(v) is Fraction for r in results for v in r.terms.values())
+        entries = list(vertex._B_CACHE.values())
+        assert len(entries) > 30
+        for den, terms in entries:
+            assert type(den) is int and den > 0
+            assert all(type(v) is int for v in terms.values())
+    finally:
+        clear_caches()
 
 
 def test_hl_q_long_weight_zero_label():

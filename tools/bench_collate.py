@@ -46,7 +46,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import REFERENCE_S, reference_s  # noqa: E402
 
-REPEATS = 3
+REPEATS = 5
 
 # criterion 11's grids named in ``cells``, a list of (case id, rho); a rho
 # cuts the grid's rho axis to that one field, and None keeps the grid whole
