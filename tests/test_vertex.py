@@ -409,9 +409,9 @@ def test_one_row_without_cache_builds_each_row_once(monkeypatch):
 @pytest.mark.parametrize("rho", [RHO_ZERO, RhoSpec.rational(2), RhoSpec.rational(Fraction(1, 2))])
 def test_b_table_holds_ints_and_results_hold_fractions(rho):
     """Over Q every B-table entry is (den, {mono: int}), and every value read
-    out of the table is a Fraction: one_row, apply_B (B_1 1 = E_1 is the
-    kernel's single pair with c = 1 and den = 1), hl_q and
-    QCombination.evaluate."""
+    out of the table is a Fraction: one_row, apply_B (at rho = 0 and 2,
+    B_1 1 = E_1 is the kernel's single pair with c = 1 and den = 1), hl_q
+    and QCombination.evaluate."""
     clear_caches()
     try:
         results = [one_row(i, rho) for i in range(-1, 6)]
