@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .rhopoly import (UNIPOLY_X, FieldMismatchError, UniPoly, _fr, _UP_ONE, _UP_ZERO, _up_add,
+from .rhopoly import (FieldMismatchError, UniPoly, _fr, _UP_ONE, _UP_ZERO, _up_add,
                       _up_fold, _up_lincomb, _up_mul, _up_scale, signed_join)
 
 
@@ -110,11 +110,6 @@ class Cyclotomic:
     @staticmethod
     def constant(order: int, c: Union[int, Fraction]) -> "Cyclotomic":
         return Cyclotomic(order, UniPoly.constant(c))
-
-    @staticmethod
-    def generator(order: int) -> "Cyclotomic":
-        """xi_n = z mod Phi_n."""
-        return cyclotomic_field(order).powers[1 % order]
 
     def __bool__(self) -> bool:
         return bool(self.poly)
@@ -386,9 +381,6 @@ class RatFunc:
         return f"({self.num.to_text()})/({self.den.to_text()})"
 
 
-RATFUNC_RHO = RatFunc.from_poly(UNIPOLY_X)
-
-
 # ---------------------------------------------------------------------------
 # specialization
 
@@ -547,7 +539,7 @@ class CyclotomicFieldTag:
             if top:
                 row = [x + top * b for x, b in zip(row, base)]
         self.rows = tuple(rows)
-        # not Cyclotomic.generator: it reads this tag, which is not interned yet
+        # built directly: Cyclotomic.make reads this tag, which is not interned yet
         self.powers = tuple(Cyclotomic(order, p) for p in
                             [UniPoly.x_pow(k) for k in range(phi)]
                             + [UniPoly.from_ints(r) for r in rows[:order - phi]])
@@ -690,7 +682,7 @@ class RhoSpec(Frozen):
     unity xi_n, or the generic indeterminate.  Two specs are equal, and hash
     equal, when their ``key``s are."""
 
-    __slots__ = ("kind", "value", "order")
+    __slots__ = ("kind", "value", "order", "key")
 
     def __init__(self, kind: str, value: Optional[Fraction] = None,
                  order: Optional[int] = None):
@@ -698,6 +690,14 @@ class RhoSpec(Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "order", order)
+        # the key of every table entry at this rho, read on each lookup
+        if kind == "generic":
+            key = ("g",)
+        elif kind == "rational":
+            key = ("q", value.numerator, value.denominator)
+        else:
+            key = ("x", order)
+        object.__setattr__(self, "key", key)
 
     def __eq__(self, other):
         return self.key == other.key if isinstance(other, RhoSpec) else NotImplemented
@@ -738,14 +738,6 @@ class RhoSpec(Frozen):
         if self.kind == "rational":
             return QQ
         return cyclotomic_field(self.order)
-
-    @property
-    def key(self):
-        if self.kind == "generic":
-            return ("g",)
-        if self.kind == "rational":
-            return ("q", self.value.numerator, self.value.denominator)
-        return ("x", self.order)
 
     def rho_pow(self, k: int):
         """rho^k as a field value (k may be negative where defined)."""

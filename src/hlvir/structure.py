@@ -1,7 +1,13 @@
 """Combinatorics of the Q basis: partitions, straightening of arbitrary
 integer labels into partition labels, the expansion coefficients c_mu, the
 power-sum multiplication formula, and border-strip expansions for the
-specialization at rho = 0."""
+specialization at rho = 0.
+
+Straightening is a set of rewrite rules: one step (``_rewrite``) writes
+Q_label as a combination of Q's of lower labels, and ``straighten``
+resolves the steps with the loop that builds the B table in ``vertex``:
+an explicit stack, a memo shared within the call, one table write per
+label."""
 
 from __future__ import annotations
 
@@ -80,59 +86,76 @@ def straighten(label: Iterable[int], rho: RhoSpec) -> QCombination:
       relation, whose shape depends on the parity of b - a.
 
     Each exchange strictly lowers sum_i i*label_i at fixed length, so the
-    rewriting terminates.
+    rewriting terminates.  A loop on an explicit stack, so a long label
+    cannot hit the recursion limit.  Each label met is rewritten once and
+    its combination summed once; it is kept in a memo of this call (so
+    ``--no-cache`` stays polynomial) and cached.  A sub-label is looked up
+    in the table before it is pushed.
     """
     label = tuple(int(x) for x in label)
-    return _straighten_cached(label, rho)
-
-
-def _straighten_cached(label: Label, rho: RhoSpec) -> QCombination:
-    """Run the rewriting on an explicit stack of suspended steps, so a long
-    label cannot hit the recursion limit: a step yields each label it
-    rewrites into and is sent its straightened form."""
-    rho_key = rho.key
+    field, rho_key = rho.field, rho.key
     hit = _STRAIGHTEN_CACHE.get((rho_key, label))
     if hit is not None:
         return hit
-    stack = [(label, _straighten_step(label, rho))]
-    value = None
-    while True:
-        top, step = stack[-1]
-        try:
-            sub = step.send(value)
-        except StopIteration as finished:
-            value = _cache_put(_STRAIGHTEN_CACHE, (rho_key, top), finished.value)
-            stack.pop()
-            if not stack:
-                return value
+    one, rho1, quad = field.one, rho.rho_pow(1), rho.one_minus_rho_pow(2)
+    done: dict = {}
+    steps: dict = {}  # the step of each label whose sub-labels are pending
+    todo = [label]
+    while todo:
+        top = todo.pop()
+        if top in done:
             continue
-        value = _STRAIGHTEN_CACHE.get((rho_key, sub))
-        if value is None:
-            stack.append((sub, _straighten_step(sub, rho)))
+        step = steps.pop(top, None)  # if pending, its sub-labels are done now
+        if step is None:
+            step = _rewrite(top, rho, rho1, quad)
+            need = []
+            for _, sub in step or ():
+                if sub not in done:
+                    hit = _STRAIGHTEN_CACHE.get((rho_key, sub))
+                    if hit is None:
+                        need.append(sub)
+                    else:
+                        done[sub] = hit
+            if need:
+                steps[top] = step
+                todo += [top] + need
+                continue
+        if step is None:
+            out = QCombination.single(field, top)
+        elif not step:
+            out = QCombination.zero(field)
+        else:
+            out = None
+            for c, sub in step:  # c is one where a zero was dropped: Q_label = Q_sub
+                term = done[sub] if c is one else done[sub].scale(c)
+                out = term if out is None else out + term
+        done[top] = _cache_put(_STRAIGHTEN_CACHE, (rho_key, top), out)
+    return done[label]
 
 
 _STRAIGHTEN_CACHE = _new_cache()
 
 
-def _straighten_step(label: Label, rho: RhoSpec):
-    """One rewriting step, as a generator (see ``_straighten_cached``)."""
-    field = rho.field
+def _rewrite(label: Label, rho: RhoSpec, rho1, quad) -> Optional[list]:
+    """One rewriting step of ``straighten``: None when label is a partition
+    with positive parts, [] when a tail sum is negative, and otherwise the
+    (c, sub) pairs with Q_label = sum c Q_sub.  rho1 = rho and
+    quad = 1 - rho^2, which the caller computes once for all its steps."""
     tail = 0
     for x in reversed(label):
         tail += x
         if tail < 0:
-            return QCombination.zero(field)
+            return []
     if label and label[-1] == 0:
-        return (yield label[:-1])
+        return [(rho.field.one, label[:-1])]
     for pos in range(len(label) - 1):
-        a, b = label[pos], label[pos + 1]
-        if a < b:
-            return (yield from _exchange(label, pos, rho))
-    return QCombination.single(field, label)
+        if label[pos] < label[pos + 1]:
+            return _exchange(label, pos, rho, rho1, quad)
+    return None
 
 
-def _exchange(label: Label, pos: int, rho: RhoSpec):
-    """Resolve the ascent label[pos] = a < b = label[pos+1]."""
+def _exchange(label: Label, pos: int, rho: RhoSpec, rho1, quad) -> list:
+    """The (c, sub) pairs that resolve the ascent label[pos] = a < b = label[pos+1]."""
     a, b = label[pos], label[pos + 1]
     r = b - a
     field = rho.field
@@ -143,19 +166,17 @@ def _exchange(label: Label, pos: int, rho: RhoSpec):
         assert _measure(out) < m_in, "exchange must lower the termination measure"
         return out
 
-    rho1 = rho.rho_pow(1)
-    out = (yield rewrite(b, a)).scale(rho1)
-    quad = rho.one_minus_rho_pow(2)  # 1 - rho^2
+    out = [(rho1, rewrite(b, a))]
     if quad:
         bound = (r - 1) // 2 if r % 2 else r // 2 - 1
         for i in range(1, bound + 1):
             c = -quad * rho.rho_pow(i - 1)  # (rho^2 - 1) rho^{i-1}
-            out = out + (yield rewrite(b - i, a + i)).scale(c)
+            out.append((c, rewrite(b - i, a + i)))
     if r % 2 == 0:
         half = r // 2
         c = rho.rho_pow(half - 1) * (rho1 - field.one)  # rho^{r/2-1}(rho - 1)
         if c:
-            out = out + (yield rewrite(b - half, a + half)).scale(c)
+            out.append((c, rewrite(b - half, a + half)))
     return out
 
 

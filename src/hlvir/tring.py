@@ -183,13 +183,6 @@ class TPoly(Sparse):
     # -- constructors
 
     @staticmethod
-    def constant(field, c) -> "TPoly":
-        c = _embed(field, c)
-        if not c:
-            return TPoly(field, {})
-        return TPoly(field, {MONO_ONE: c})
-
-    @staticmethod
     def one(field) -> "TPoly":
         return TPoly(field, {MONO_ONE: field.one})
 
@@ -217,9 +210,6 @@ class TPoly(Sparse):
             if m and m[-1][0] > out:
                 out = m[-1][0]
         return out
-
-    def coefficient(self, m: Mono):
-        return self.terms.get(m, self.field.zero)
 
     # -- multiplication
 

@@ -10,9 +10,12 @@ on u^m
 
     B_m (t_k f) = t_k B_m f - (1/k) B_{m+k} f.
 
-With B_m t^mu = 0 for m + |mu| < 0 and B_m 1 = E_m, this builds B_m on a
-monomial from entries one factor shorter: each entry is one shift by t_k
-of another plus a -1/k multiple of a third.  That step, E_j, B_m f as a
+With B_m t^mu = 0 for m + |mu| < 0 and B_m 1 = E_m, where
+j E_j = sum_k k (1 - rho^k) t_k E_{j-k}, this builds B_m on a monomial
+from entries one factor shorter: each entry is one shift by t_k of another
+plus a -1/k multiple of a third, and E_j (the entry of the monomial 1) is
+a sum of shifts of E_0 .. E_{j-1}.  One loop on an explicit stack builds
+every entry a call meets once (``_apply_b_mono``).  Each entry, B_m f as a
 sum over the monomials of f (or a sum of scaled B_m f over several m and
 f, ``apply_B_sum``), and the expansion of a combination of Q's are each
 one call of the field's scaled-sum kernel (``lincomb`` in ``exactnum``).
@@ -115,54 +118,16 @@ def _over(c, den: int):
     return c if den == 1 else Fraction(c.numerator, c.denominator * den)
 
 
-def _poly(field, entry) -> TPoly:
-    """The polynomial of a table entry, with canonical values."""
-    den, terms = entry
-    return TPoly(field, field.lincomb([(Fraction(1, den), terms)]))
-
-
-# ---------------------------------------------------------------------------
-# one-row generators
-
-def _row(i: int, rho: RhoSpec) -> tuple:
-    """The entry of E_i, from j*E_j = sum_{k=1}^{j} k (1 - rho^k) t_k E_{j-k},
-    built up from E_0 through every E_j not cached yet (as the B_j 1 entry)."""
-    field, rho_key = rho.field, rho.key
-    if i < 0:
-        return _ZERO_ENTRY
-    hit = _B_CACHE.get((rho_key, i, ()))
-    if hit is not None:
-        return hit
-    unit = field.lincomb_den([(1, {(): field.one})])
-    if i == 0:
-        return _cache_put(_B_CACHE, (rho_key, 0, ()), unit)
-    rows = [unit]
-    for j in range(1, i + 1):
-        key = (rho_key, j, ())
-        row = _B_CACHE.get(key)
-        if row is None:
-            row = _cache_put(_B_CACHE, key, field.lincomb_den([
-                (_over(f * Fraction(k, j), rows[j - k][0]),
-                 {mono_mul_var(mo, k): a for mo, a in rows[j - k][1].items()})
-                for k in range(1, j + 1) if (f := rho.one_minus_rho_pow(k))]))
-        rows.append(row)
-    return rows[i]
-
-
-def one_row(i: int, rho: RhoSpec) -> TPoly:
-    """E_i = Q_{(i)}."""
-    return _poly(rho.field, _row(i, rho))
-
-
 # ---------------------------------------------------------------------------
 # row operators on monomials
 
 def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> tuple:
     """The entry of B_m t^mono, by the commutation relation in the module
     docstring, peeling the largest t_k first, so shorter entries keep the
-    small indices that many monomials share.  A loop: each entry (j, nu)
-    met is built once, kept in ``done`` (a memo that the caller shares
-    between the monomials of one polynomial, so ``--no-cache`` stays
+    small indices that many monomials share; on mono = () it is E_m, from
+    j*E_j = sum_{k=1}^{j} k (1 - rho^k) t_k E_{j-k}.  A loop: each entry
+    (j, nu) met is built once, kept in ``done`` (a memo that the caller
+    shares between the monomials of one polynomial, so ``--no-cache`` stays
     polynomial) and cached."""
     field, rho_key = rho.field, rho.key
     todo = [(m, mono)]
@@ -175,7 +140,14 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> tuple:
         if out is None and j + mono_degree(mu) < 0:
             out = _ZERO_ENTRY
         elif out is None and not mu:
-            out = _row(j, rho)
+            need = [(j - k, ()) for k in range(1, j + 1) if (j - k, ()) not in done]
+            if need:
+                todo += [entry] + need
+                continue
+            pairs = [(_over(f * Fraction(k, j), done[j - k, ()][0]),
+                      {mono_mul_var(mo, k): a for mo, a in done[j - k, ()][1].items()})
+                     for k in range(1, j + 1) if (f := rho.one_minus_rho_pow(k))]
+            out = _cache_put(_B_CACHE, key, field.lincomb_den(pairs if j else [(1, {(): field.one})]))
         elif out is None:
             k, e = mu[-1]
             nu = mu[:-1] + ((k, e - 1),) if e > 1 else mu[:-1]
@@ -215,6 +187,11 @@ def apply_B_sum(rho: RhoSpec, parts: Iterable[tuple]) -> TPoly:
 def apply_B(m: int, f: TPoly, rho: RhoSpec) -> TPoly:
     """Apply the row operator B_m to f, linearly over its monomials."""
     return apply_B_sum(rho, ((1, m, f),))
+
+
+def one_row(i: int, rho: RhoSpec) -> TPoly:
+    """E_i = B_i 1 = Q_{(i)}."""
+    return apply_B(i, TPoly.one(rho.field), rho)
 
 
 # ---------------------------------------------------------------------------

@@ -271,11 +271,15 @@ def test_text_runs_are_byte_identical(capsys):
 
 
 def test_no_cache_flag_gives_same_answer(capsys):
+    # without a memo per call, straightening (0,1,...,7) takes about a minute
     try:
-        _, cached, _ = run_cli(capsys, "q", "--rho", "xi:3", "--lambda", "3,2")
-        _, uncached, _ = run_cli(capsys, "q", "--rho", "xi:3",
-                                 "--lambda", "3,2", "--no-cache")
-        assert cached == uncached
+        for argv in (("q", "--rho", "xi:3", "--lambda", "3,2"),
+                     ("straighten", "--rho", "generic", "--lambda", "0,1,2,3,4,5,6,7")):
+            for fmt in ("text", "json"):
+                clear_caches()
+                code, cached, _ = run_cli(capsys, *argv, "--format", fmt)
+                assert code == 0
+                assert run_cli(capsys, *argv, "--format", fmt, "--no-cache") == (0, cached, "")
     finally:
         set_cache_enabled(True)
 

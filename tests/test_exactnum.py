@@ -10,12 +10,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlvir.exactnum import (GENERIC, QQ, RATFUNC_RHO, Cyclotomic, FieldMismatchError, PoleError,
+from hlvir.exactnum import (GENERIC, QQ, RHO_GENERIC, Cyclotomic, FieldMismatchError, PoleError,
                             RatFunc, RhoSpec, cyclotomic_field, cyclotomic_poly, euler_phi,
                             specialize_at_rational, specialize_at_root)
 from hlvir.rhopoly import _UP_ONE, UNIPOLY_X, UniPoly, _pack, _unpack, _width
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+RATFUNC_RHO = RHO_GENERIC.rho_pow(1)
 
 
 def cyclo_elems(order):
@@ -71,7 +72,7 @@ def test_cyclotomic_poly_known_cases():
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_primitive_root_kills_its_cyclotomic_polynomial(n):
-    xi = Cyclotomic.generator(n)
+    xi = RhoSpec.root(n).rho_pow(1)
     p = cyclotomic_poly(n)
     val = Cyclotomic.constant(n, 0)
     for i, c in enumerate(p.coefficients):
@@ -225,7 +226,8 @@ def test_shared_constants_keep_their_width():
     total = wide + poly
     assert total == RatFunc.make(UniPoly.from_ints([2 ** 70 + 3, 9, 5]),
                                  UniPoly.from_ints([1, 1]))
-    assert not wide * RATFUNC_RHO - RATFUNC_RHO * wide
+    x = RatFunc.from_poly(UNIPOLY_X)
+    assert not wide * x - x * wide
     assert [_stored(_UP_ONE), _stored(UNIPOLY_X)] == ones and _UP_ONE._B == 64
     assert (poly * poly).num._B == 64  # narrow values stay narrow
 
@@ -337,14 +339,14 @@ def test_cyclotomic_matches_unipoly_reference(case, q):
 
 def test_cyclotomic_rational_detection():
     # z + z^2 = -1 in the third cyclotomic field
-    z = Cyclotomic.generator(3)
+    z = RhoSpec.root(3).rho_pow(1)
     v = z + z * z
     assert v.is_rational() and v.rational_value() == -1
 
 
 @pytest.mark.parametrize("rho_value", [UNIPOLY_X, RATFUNC_RHO])
 def test_rho_values_and_cyclotomics_do_not_mix(rho_value):
-    z = Cyclotomic.generator(5)
+    z = RhoSpec.root(5).rho_pow(1)
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(FieldMismatchError):
             op(rho_value, z)
@@ -470,7 +472,7 @@ def test_one_minus_rho_pow():
 @pytest.mark.parametrize("n", range(2, 13))
 def test_root_powers_match_repeated_products(n):
     """rho_pow at xi_n reads the field tag's table of powers."""
-    xi, power = Cyclotomic.generator(n), Cyclotomic.constant(n, 1)
+    xi, power = RhoSpec.root(n).rho_pow(1), Cyclotomic.constant(n, 1)
     powers = [power]
     for _ in range(n - 1):
         power = power * xi
@@ -490,7 +492,7 @@ def test_field_tags_are_singletons():
 def test_field_value_text():
     k = cyclotomic_field(4)
     assert k.value_text(k.from_fraction(Fraction(-1, 2))) == "-1/2"
-    z = Cyclotomic.generator(4)
+    z = RhoSpec.root(4).rho_pow(1)
     assert k.value_text(k.from_fraction(Fraction(1, 2)) + z) == "1/2 + 1*z"
     p = UniPoly.from_fractions([Fraction(-1, 2), 0, 1, -3])
     assert GENERIC.value_text(RatFunc.from_poly(p)) == "(-3*ρ^3 + ρ^2 - 1/2)"
@@ -653,7 +655,7 @@ def test_lincomb_small_cases(field):
     alternating = [((-1) ** i * 2 ** 60, {"a": one}) for i in range(9)]
     assert field.lincomb(alternating) == {"a": one * 2 ** 60}
     if field is not QQ and field is not GENERIC and field.phi > 1:
-        z = Cyclotomic.generator(field.order)
+        z = RhoSpec.root(field.order).rho_pow(1)
         # z * z^(phi-1) = z^phi reduces mod Phi_n
         top = z ** (field.phi - 1)
         assert field.lincomb([(z, {"a": top})]) == {"a": z * top}

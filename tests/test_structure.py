@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlvir import structure
 from hlvir.exactnum import (GENERIC, QQ, RHO_GENERIC, RHO_ZERO, RatFunc,
                             RhoSpec, UniPoly)
 from hlvir.structure import (SingularCoefficientError, c_coeff,
@@ -17,7 +18,7 @@ from hlvir.structure import (SingularCoefficientError, c_coeff,
                              multiplicities, multiply_p, n_stat, p_expand,
                              partitions, straighten, strip_zeros)
 from hlvir.tring import TPoly, mono_degree
-from hlvir.vertex import QCombination, clear_caches, hl_q
+from hlvir.vertex import QCombination, clear_caches, hl_q, set_cache_enabled
 
 small_labels = st.lists(st.integers(min_value=-2, max_value=3),
                         max_size=3).map(tuple)
@@ -98,6 +99,36 @@ def test_straighten_long_label_needs_no_recursion():
         assert out.evaluate(RHO_ZERO) == hl_q(lam, RHO_ZERO)
     finally:
         clear_caches()
+
+
+@pytest.mark.parametrize("lam, rho", [((0, 1, 2, 3, 4, 5, 6, 7), RHO_GENERIC),
+                                      ((-1, 3, 0, 2, 1, 4), RhoSpec.root(3))])
+def test_straighten_without_cache_rewrites_each_label_once(monkeypatch, lam, rho):
+    """Uncached, every label that straightening meets is rewritten once, in
+    the memo of the call, so there are as many rewriting steps as the cached
+    run from cold leaves table entries; without that memo the rewriting is
+    exponential, and (0,1,...,7) takes about a minute."""
+    rewritten = []
+    rewrite = structure._rewrite
+
+    def counted(label, *args):
+        rewritten.append(label)
+        return rewrite(label, *args)
+
+    monkeypatch.setattr(structure, "_rewrite", counted)
+    clear_caches()
+    try:
+        want = straighten(lam, rho)
+        entries = len(structure._STRAIGHTEN_CACHE)
+        assert len(rewritten) == entries > 100
+        rewritten.clear()
+        set_cache_enabled(False)
+        got = straighten(lam, rho)
+    finally:
+        set_cache_enabled(True)
+        clear_caches()
+    assert len(rewritten) == len(set(rewritten)) == entries
+    assert got == want
 
 
 def test_straighten_output_is_over_positive_partitions():

@@ -110,7 +110,7 @@ def test_canonical_text_forms():
     s11 = TPoly(QQ, {((1, 2),): Fraction(1, 2), ((2, 1),): Fraction(-1)})
     assert s11.to_text() == "1/2*t1^2 - 1*t2"
     assert TPoly.zero(QQ).to_text() == "0"
-    assert TPoly.constant(QQ, Fraction(-1, 2)).to_text() == "-1/2"
+    assert TPoly.one(QQ).scale(Fraction(-1, 2)).to_text() == "-1/2"
     assert s11.to_json() == [{"monomial": {"1": 2}, "coeff": "1/2"},
                              {"monomial": {"2": 1}, "coeff": "-1"}]
 

@@ -121,50 +121,63 @@ def test_b_on_monomials_matches_derivative_route(rho, max_degree, cached):
         set_cache_enabled(True)
 
 
-def test_b_on_monomials_without_cache_builds_each_entry_once(monkeypatch):
-    # B_0 t_1^10 peels ten t_1's down to E_0..E_10: 11 rows, where a
-    # recursion without a per-call memo would reach them 2^10 times
+def _count_kernel_calls(monkeypatch) -> list:
+    """The number of pairs of each QQ.lincomb_den call from now on: one call
+    builds one B-table entry."""
     calls = []
-    row = vertex._row
+    lincomb = QQ.lincomb_den
 
-    def counted(i, rho):
-        calls.append(i)
-        return row(i, rho)
+    def counted(pairs):
+        calls.append(len(pairs))
+        return lincomb(pairs)
 
+    monkeypatch.setattr(QQ, "lincomb_den", counted)
+    return calls
+
+
+def test_b_on_monomials_without_cache_builds_each_entry_once(monkeypatch):
+    # B_0 t_1^10 peels ten t_1's down to the entries (j, t_1^e) with
+    # j + e <= 10, E_0..E_10 among them: 66 entries, where a recursion
+    # without a per-call memo would reach them 2^10 times
     mono = ((1, 10),)
     clear_caches()
+    calls = _count_kernel_calls(monkeypatch)
     want = _apply_b_mono(RHO_ZERO, 0, mono, {})
-    monkeypatch.setattr(vertex, "_row", counted)
+    assert len(calls) == len(vertex._B_CACHE) == 66
+    calls.clear()
     set_cache_enabled(False)
     try:
         got = _apply_b_mono(RHO_ZERO, 0, mono, {})
     finally:
         set_cache_enabled(True)
-    assert len(calls) <= 11
+    assert len(calls) == 66
     assert got == want
 
 
 def test_b_on_a_polynomial_without_cache_shares_entries(monkeypatch):
-    # the monomials of one polynomial share the rows and entries of B_m:
-    # Q_(4,3,2,2,1) reads E_0..E_12 a few times per apply_B call, where a
-    # memo per monomial rebuilt them 153 times
-    calls = []
-    row = vertex._row
-
-    def counted(i, rho):
-        calls.append(i)
-        return row(i, rho)
-
+    # the monomials of one polynomial share the entries of B_m, E_m among
+    # them: uncached, each of the five apply_B calls of Q_(4,3,2,2,1) builds
+    # each entry it reaches once, as it does from cold caches
     label = (4, 3, 2, 2, 1)
+    suffixes = [hl_q(label[j + 1:], RHO_ZERO) for j in range(len(label))]
+    calls = _count_kernel_calls(monkeypatch)
+    per_step = 0
+    for a, f in zip(label, suffixes):
+        clear_caches()
+        calls.clear()
+        apply_B(a, f, RHO_ZERO)
+        per_step += len(calls)
     clear_caches()
+    calls.clear()
     want = hl_q(label, RHO_ZERO)
-    monkeypatch.setattr(vertex, "_row", counted)
+    assert len(calls) == len(vertex._B_CACHE)
+    calls.clear()
     set_cache_enabled(False)
     try:
         got = hl_q(label, RHO_ZERO)
     finally:
         set_cache_enabled(True)
-    assert len(calls) <= 30
+    assert len(calls) == per_step == 149
     assert got == want
 
 
@@ -345,7 +358,8 @@ def test_full_cache_evicts_its_oldest_entry(monkeypatch):
         for k in range(1, 6):
             assert hl_q((k,), rho) == want[k]
         assert list(vertex._Q_CACHE) == [(rho.key, (k,)) for k in (3, 4, 5)]
-        # E_k = B_k 1: one_row(5) rebuilt E_1, E_2 over the evicted rows
+        # E_k = B_k 1: hl_q((5,)) rebuilt the evicted E_0 and E_1, which
+        # evicted E_2..E_4 before they were read, so it rebuilt those too
         assert list(vertex._B_CACHE) == [(rho.key, k, ()) for k in (3, 4, 5)]
         assert all(len(cache) <= 3 for cache in vertex._CACHES)
     finally:
