@@ -91,7 +91,8 @@ class Cyclotomic:
 
     That representative is unique, so truth, ``==``, ``hash`` and text are
     ``poly``'s.  Sums are rhopoly's packed sums; a product is one packed
-    multiply, folded mod Phi_n (``_up_fold``) when its degree reaches phi.
+    multiply, folded mod Phi_n (``_up_fold``) when its degree reaches phi;
+    a product by an int or a Fraction is one rational scale of ``poly``.
     Immutable and hashable.
     """
 
@@ -162,6 +163,11 @@ class Cyclotomic:
         return Cyclotomic(self.order, _up_add(o, self.poly, -1))
 
     def __mul__(self, other):
+        if type(other) is not Cyclotomic and isinstance(other, (int, Fraction)):
+            # a rational scale keeps the degree below phi: nothing to fold
+            n = other.numerator
+            return Cyclotomic(self.order, _up_scale(self.poly, n, other.denominator)
+                              if n else _UP_ZERO)
         o = self._operand(other)
         if o is None:
             return NotImplemented

@@ -557,4 +557,3 @@ def _as_unipoly(x):
 
 _UP_ZERO = UniPoly(0, 1, 64, 0)
 _UP_ONE = UniPoly(1, 1, 64, 1)
-UNIPOLY_X = UniPoly(1 << 64, 1, 64, 1)

@@ -138,8 +138,8 @@ _STRAIGHTEN_CACHE = _new_cache()
 
 def _rewrite(label: Label, rho: RhoSpec, rho1, quad) -> Optional[list]:
     """One rewriting step of ``straighten``: None when label is a partition
-    with positive parts, [] when a tail sum is negative, and otherwise the
-    (c, sub) pairs with Q_label = sum c Q_sub.  rho1 = rho and
+    with positive parts, [] when Q_label = 0, and otherwise the (c, sub)
+    pairs with Q_label = sum c Q_sub, each c nonzero.  rho1 = rho and
     quad = 1 - rho^2, which the caller computes once for all its steps."""
     tail = 0
     for x in reversed(label):
@@ -155,7 +155,8 @@ def _rewrite(label: Label, rho: RhoSpec, rho1, quad) -> Optional[list]:
 
 
 def _exchange(label: Label, pos: int, rho: RhoSpec, rho1, quad) -> list:
-    """The (c, sub) pairs that resolve the ascent label[pos] = a < b = label[pos+1]."""
+    """The (c, sub) pairs that resolve the ascent label[pos] = a < b = label[pos+1],
+    without those whose c is 0 (at rho = 0 all but at most two)."""
     a, b = label[pos], label[pos + 1]
     r = b - a
     field = rho.field
@@ -175,9 +176,8 @@ def _exchange(label: Label, pos: int, rho: RhoSpec, rho1, quad) -> list:
     if r % 2 == 0:
         half = r // 2
         c = rho.rho_pow(half - 1) * (rho1 - field.one)  # rho^{r/2-1}(rho - 1)
-        if c:
-            out.append((c, rewrite(b - half, a + half)))
-    return out
+        out.append((c, rewrite(b - half, a + half)))
+    return [(c, sub) for c, sub in out if c]
 
 
 # ---------------------------------------------------------------------------

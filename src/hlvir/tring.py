@@ -2,7 +2,9 @@
 linear operators on it (a finite term list and a grading sum
 sum_k k t_k d_{k+shift}) and the deformed power-sum inner product.  A
 product of polynomials is one call of the field's scaled-sum kernel
-(``lincomb`` in ``exactnum``); other sums add one term at a time."""
+(``lincomb`` in ``exactnum``); other sums add one term at a time.  An
+operator acts in one pass over the monomials: each of its terms sends a
+monomial to one monomial times an integer read off the exponents."""
 
 from __future__ import annotations
 
@@ -59,6 +61,12 @@ def mono_mul(m1: Mono, m2: Mono) -> Mono:
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
+
+
+def _lower(m: Mono, i: int) -> Mono:
+    """m with the exponent of its i-th variable lowered by 1."""
+    v, e = m[i]
+    return m[:i] + ((v, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
 
 
 def mono_text(m: Mono) -> str:
@@ -129,8 +137,8 @@ class Sparse:
         return self + (-other)
 
     def scale(self, c):
-        """Multiply by a scalar of the coefficient field (or a rational)."""
-        c = _embed(self.field, c)
+        """Multiply by a scalar of the coefficient field or a rational, which
+        every field's values multiply by as it is."""
         if not c:
             return type(self)(self.field, {})
         # a product of nonzero field values is nonzero
@@ -234,7 +242,6 @@ class TPoly(Sparse):
             return self
         if c is None:
             return TPoly(self.field, {mono_mul_var(m, r): a for m, a in self.terms.items()})
-        c = _embed(self.field, c)
         if not c:
             return TPoly(self.field, {})
         return TPoly(self.field, {mono_mul_var(m, r): a * c for m, a in self.terms.items()})
@@ -246,10 +253,7 @@ class TPoly(Sparse):
         for m, a in self.terms.items():
             for i, (v, e) in enumerate(m):
                 if v == r:
-                    if e == 1:
-                        out[m[:i] + m[i + 1:]] = a
-                    else:
-                        out[m[:i] + ((v, e - 1),) + m[i + 1:]] = a * e
+                    out[_lower(m, i)] = a if e == 1 else a * e
                     break
         return TPoly(self.field, out)
 
@@ -279,8 +283,10 @@ class OpTerm(Frozen):
     """coeff times a product of at most two factors, applied right to left.
 
     Factors are ("mul", a) for multiplication by t_a or ("der", a) for
-    d/dt_a.  The coefficient may be a Fraction (embedded into the working
-    field at application time) or a value of that field.
+    d/dt_a, so the term sends t^mu to one monomial times coeff times the
+    exponents its d_a lower.  The coefficient may be a Fraction, which
+    multiplies a value of the working field as it is, or a value of that
+    field.
     """
 
     __slots__ = ("coeff", "factors")
@@ -301,8 +307,10 @@ class LinOperator(Frozen):
 
         sum_{k >= max(1, 1 - shift)}^{f.max_var() - shift} k t_k d_{k+shift}
 
-    without the k that are multiples of ``skip`` (when set).  The range of k
-    is read off the polynomial the operator is applied to."""
+    without the k that are multiples of ``skip`` (when set).  ``apply``
+    visits, for each monomial t^mu of the polynomial, only the variables
+    t_v in mu: k t_k d_v with k = v - shift >= 1 sends t^mu to k e_v
+    t^mu t_k / t_v, and every other k sends it to 0."""
 
     __slots__ = ("finite", "shift", "skip")
 
@@ -313,28 +321,45 @@ class LinOperator(Frozen):
         object.__setattr__(self, "skip", skip)
 
 
-def _apply_term(term: OpTerm, f: TPoly) -> TPoly:
-    g = f
-    for kind, a in reversed(term.factors):
-        g = g.diff(a) if kind == "der" else g.mul_var(a)
-        if not g.terms:
-            return g
-    return g if term.coeff == 1 else g.scale(term.coeff)
+def _images(op: LinOperator, f: TPoly):
+    """The (monomial, value) images of f's terms a t^mu under op's terms:
+    each term sends a t^mu to one monomial times a * coeff * the exponents
+    its d_x lower, one product of a value of f's field and a rational."""
+    # an integral Fraction becomes an int, so that a multiplier of 1
+    # scales nothing
+    terms = [(c.numerator if type(c) is Fraction and c.denominator == 1 else c,
+              t.factors[::-1]) for t in op.finite if (c := t.coeff)]
+    shift, skip = op.shift, op.skip
+    for mu, a in f.terms.items():
+        for r, factors in terms:
+            m = mu
+            for kind, x in factors:
+                if kind == "mul":
+                    m = mono_mul_var(m, x)
+                    continue
+                for i, (v, e) in enumerate(m):
+                    if v == x:
+                        r, m = r * e, _lower(m, i)
+                        break
+                else:  # d_x meets no t_x: the term sends t^mu to 0
+                    break
+            else:
+                yield m, a if r == 1 else a * r
+        if shift is not None:
+            for i, (v, e) in enumerate(mu):
+                k = v - shift  # k t_k d_v sends t^mu to k e t^mu t_k / t_v
+                if k >= 1 and (skip is None or k % skip):
+                    yield (mu if not shift else mono_mul_var(_lower(mu, i), k),
+                           a if k * e == 1 else a * (k * e))
 
 
 def apply(op: LinOperator, f: TPoly) -> TPoly:
-    """Apply a linear operator to a polynomial (exact, term by term)."""
+    """Apply a linear operator to a polynomial in one pass over f's
+    monomials."""
     if op.shift is None and len(op.finite) == 1:
-        return _apply_term(op.finite[0], f)
-    out: dict = {}
-    for term in op.finite:
-        _accumulate(out, _apply_term(term, f).terms.items())
-    shift, skip = op.shift, op.skip
-    if shift is not None:
-        for k in range(max(1, 1 - shift), f.max_var() - shift + 1):
-            if skip is None or k % skip:
-                _accumulate(out, f.diff(k + shift).mul_var(k, k).terms.items())
-    return TPoly(f.field, out)
+        # one term maps distinct monomials to distinct monomials
+        return TPoly(f.field, dict(_images(op, f)))
+    return TPoly(f.field, _accumulate({}, _images(op, f)))
 
 
 def commutator_apply(a: LinOperator, b: LinOperator, f: TPoly) -> TPoly:

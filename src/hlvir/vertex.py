@@ -180,7 +180,11 @@ def apply_B_sum(rho: RhoSpec, parts: Iterable[tuple]) -> TPoly:
             for mono, c in f.terms.items():
                 den, terms = (_B_CACHE.get((rho_key, m, mono))  # most entries are cached
                               or _apply_b_mono(rho, m, mono, done))
-                pairs.append((_over(c if one else c * s, den), terms))
+                if den != 1:  # over Q: c * s / den as one Fraction
+                    c = Fraction(c.numerator * s.numerator, c.denominator * s.denominator * den)
+                elif not one:
+                    c = c * s
+                pairs.append((c, terms))
     return TPoly(field, field.lincomb(pairs))
 
 

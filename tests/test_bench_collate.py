@@ -115,13 +115,9 @@ def test_cold_import_sweep_times_the_cli_import_in_a_fresh_child():
     assert res["seconds"] < res["cpu_s"] < 10
 
 
-@pytest.mark.parametrize("name, want", [
-    ("exchange_generic", {"Exchange": {"generic"}}),
-    ("exchange_rational", {"Exchange": {"2"}}),
-    ("c11_rational", {"Lemma32": {"0"}, "LemmaA1": {None}, "CorA2": {None}})])
-def test_c11_sweeps_run_criterion_11_grids_at_their_fields(monkeypatch, name, want):
-    """A c11 body, run with a stand-in verify_case: every cell of each named
-    criterion-11 grid, its rho axis cut to the one field."""
+def _run_grid_sweep(monkeypatch, name):
+    """A grid sweep's body, run with a stand-in verify_case: the cases it
+    checked and the desk's grids by case id."""
     from hlvir import selftest
 
     tool = _load_tool()
@@ -136,13 +132,40 @@ def test_c11_sweeps_run_criterion_11_grids_at_their_fields(monkeypatch, name, wa
     monkeypatch.setattr(selftest, "verify_case", fake_verify)
     scope = {"clock": lambda: 0.0}
     exec(tool.SWEEPS[name], scope)
-    grids = {g.case_id: g for row in selftest.CRITERIA if row.number == 11
-             for g in row.checks if isinstance(g, selftest.Grid)}
-    # none of these grids skips a cell; a cut rho axis has one value
-    cells = sum(math.prod(len(v) for k, v in grids[case_id].axes.items() if k != "rho")
-                for case_id in want)
-    assert scope["cases"] == len(seen) == cells and scope["failed"] == 0
+    assert scope["cases"] == len(seen) and scope["failed"] == 0
+    grids = {g.case_id: g for row in selftest.CRITERIA for g in row.checks
+             if isinstance(g, selftest.Grid)}
+    return seen, grids
+
+
+def _cases_by_id(seen):
     got: dict = {}
     for case in seen:
         got.setdefault(case.id, set()).add(case.rho and case.rho.to_text())
-    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name, want", [
+    ("exchange_generic", {"Exchange": {"generic"}}),
+    ("exchange_rational", {"Exchange": {"2"}}),
+    ("c11_rational", {"Lemma32": {"0"}, "LemmaA1": {None}, "CorA2": {None}})])
+def test_c11_sweeps_run_criterion_11_grids_at_their_fields(monkeypatch, name, want):
+    """Every cell of each named criterion-11 grid, its rho axis cut to the
+    one field."""
+    seen, grids = _run_grid_sweep(monkeypatch, name)
+    # none of these grids skips a cell; a cut rho axis has one value
+    cells = sum(math.prod(len(v) for k, v in grids[case_id].axes.items() if k != "rho")
+                for case_id in want)
+    assert len(seen) == cells
+    assert _cases_by_id(seen) == want
+
+
+def test_operators_roots_sweep_runs_the_operator_grids_at_xi_2_and_xi_3(monkeypatch):
+    """Criterion 4's Bracket grid and criterion 11's Prop33 and CorLtilde
+    grids, whole: 182 cases, each at n = 2 or 3."""
+    seen, grids = _run_grid_sweep(monkeypatch, "operators_roots")
+    want = ("Bracket", "Prop33", "CorLtilde")
+    assert len(seen) == 182 == sum(math.prod(map(len, grids[case_id].axes.values()))
+                                   for case_id in want)
+    assert _cases_by_id(seen) == {case_id: {None} for case_id in want}
+    assert {case.n for case in seen} == {2, 3}

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from hlvir.exactnum import (GENERIC, QQ, RHO_GENERIC, Cyclotomic, FieldMismatchError, PoleError,
                             RatFunc, RhoSpec, cyclotomic_field, cyclotomic_poly, euler_phi,
                             specialize_at_rational, specialize_at_root)
-from hlvir.rhopoly import _UP_ONE, UNIPOLY_X, UniPoly, _pack, _unpack, _width
+from hlvir.rhopoly import _UP_ONE, UniPoly, _pack, _unpack, _width
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 RATFUNC_RHO = RHO_GENERIC.rho_pow(1)
+UNIPOLY_X = UniPoly.x_pow(1)
 
 
 def cyclo_elems(order):
@@ -276,6 +277,21 @@ def test_cyclotomic_ring_axioms(a, b, c):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+@given(data=st.data())
+def test_cyclotomic_times_a_rational_is_times_its_embedding(order, data):
+    """x * c and c * x, for an int or a Fraction c (zero and negative ones
+    included), equal x * from_fraction(c) in ==, hash and text."""
+    x = data.draw(cyclo_elems(order))
+    c = data.draw(st.sampled_from([0, -1, -3, Fraction(0), Fraction(-2, 3)])
+                  | st.integers(-9, 9) | fractions)
+    want = x * cyclotomic_field(order).from_fraction(c)
+    for got in (x * c, c * x):
+        assert type(got) is Cyclotomic and got.order == order
+        assert got == want and hash(got) == hash(want) and got.to_text() == want.to_text()
+    assert bool(x * c) == bool(x and c)
 
 
 @given(cyclo_elems(4))

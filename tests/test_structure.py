@@ -131,6 +131,37 @@ def test_straighten_without_cache_rewrites_each_label_once(monkeypatch, lam, rho
     assert got == want
 
 
+def test_straighten_at_rho_zero_skips_zero_coefficients(monkeypatch):
+    """At rho = 0 an exchange step keeps only its pairs with c != 0: the
+    first step of (0, 1, ..., 6) has one pair, with c = rho = 0, so Q of it
+    is 0 after one rewrite (943 when the zero pairs were resolved)."""
+    rewritten = []
+    rewrite = structure._rewrite
+
+    def counted(label, *args):
+        rewritten.append(label)
+        return rewrite(label, *args)
+
+    monkeypatch.setattr(structure, "_rewrite", counted)
+    clear_caches()
+    try:
+        assert not straighten((0, 1, 2, 3, 4, 5, 6), RHO_ZERO).terms
+    finally:
+        clear_caches()
+    assert rewritten == [(0, 1, 2, 3, 4, 5, 6)]
+
+
+def test_straighten_at_rho_zero_is_the_generic_one_at_zero():
+    """Straightening multiplies by rho^k and 1 - rho^2 and never divides, so
+    the generic combination read at rho = 0 is the one built at rho = 0."""
+    for lam in itertools.chain.from_iterable(
+            itertools.product(range(-3, 5), repeat=n) for n in range(4)):
+        generic = straighten(lam, RHO_GENERIC)
+        want = QCombination.from_terms(QQ, ((mu, RHO_ZERO.specialize(c))
+                                            for mu, c in generic.terms.items()))
+        assert straighten(lam, RHO_ZERO) == want, lam
+
+
 def test_straighten_output_is_over_positive_partitions():
     out = straighten((-1, 3, 2, 1), RHO_GENERIC)
     for label in out.terms:

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hlvir.exactnum import GENERIC, QQ, RHO_GENERIC, FieldMismatchError, RhoSpec
+from hlvir.exactnum import (GENERIC, QQ, RHO_GENERIC, RHO_ZERO, FieldMismatchError, RhoSpec,
+                            _accumulate)
 from hlvir.tring import (DegeneratePairingError, LinOperator, OpTerm, TPoly,
                          apply, commutator_apply, inner_product, mono_degree,
                          mono_from_exponents)
 from hlvir.vertex import QCombination
+from hlvir.virasoro import FAMILIES, VirasoroSpec, build_operator
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -165,6 +167,88 @@ def test_one_term_operator_is_its_direct_call(f, r):
     assert apply(LinOperator((OpTerm(Fraction(r), (("mul", r),)),)), f) == f.mul_var(r, r)
     assert (apply(LinOperator((OpTerm(Fraction(-2, 3), (("mul", 1), ("der", r))),)), f)
             == f.diff(r).mul_var(1).scale(Fraction(-2, 3)))
+
+
+# The term-by-term form of ``apply``, kept as its oracle: each term is a
+# chain of whole-polynomial diff / mul_var passes and a scale, and the
+# grading sum one diff and one mul_var pass for every k up to f.max_var().
+
+def _apply_term_by_term(op: LinOperator, f: TPoly) -> TPoly:
+    out: dict = {}
+    for term in op.finite:
+        g = f
+        for kind, a in reversed(term.factors):
+            g = g.diff(a) if kind == "der" else g.mul_var(a)
+        _accumulate(out, g.scale(term.coeff).terms.items())
+    shift, skip = op.shift, op.skip
+    if shift is not None:
+        for k in range(max(1, 1 - shift), f.max_var() - shift + 1):
+            if skip is None or k % skip:
+                _accumulate(out, f.diff(k + shift).mul_var(k, k).terms.items())
+    return TPoly(f.field, out)
+
+
+_ORACLE_RHOS = [RHO_ZERO, RhoSpec.rational(2), RHO_GENERIC,
+                RhoSpec.root(2), RhoSpec.root(3), RhoSpec.root(5)]
+
+
+def _field_values(rho):
+    """Values of rho's field: a polynomial in rho of degree <= 2 with
+    rational coefficients, divided by 1 - rho when drawn so."""
+    field = rho.field
+
+    def build(args):
+        cs, over = args
+        v = field.zero
+        for i, c in enumerate(cs):
+            v = v + field.from_fraction(c) * rho.rho_pow(i)
+        return v / rho.one_minus_rho_pow(1) if over else v
+    return st.tuples(st.lists(fractions, min_size=1, max_size=3), st.booleans()).map(build)
+
+
+_ORACLE_OPS = (
+    [build_operator(VirasoroSpec(family, m, n)) for family in FAMILIES[:5]
+     for n in (2, 3, 5) for m in range(-2, 3) if m >= 1 or family not in ("Wmn", "Vmn")]
+    + [build_operator(VirasoroSpec(family, m)) for family in ("LS", "WS") for m in range(-3, 4)]
+    + [LinOperator((OpTerm(Fraction(r), (("mul", r),)),)) for r in range(1, 6)]
+    + [LinOperator((OpTerm(Fraction(1), (("der", r),)),)) for r in range(1, 6)]
+    + [LinOperator((OpTerm(Fraction(-2, 3), (("mul", 1), ("der", 2))),
+                    OpTerm(Fraction(0), (("mul", 1),)),
+                    OpTerm(Fraction(5, 2), ()),
+                    OpTerm(Fraction(3), (("der", 2), ("der", 2)))), shift=-2, skip=2),
+       LinOperator(shift=2, skip=3), LinOperator(shift=0)])
+
+wide_monos = st.dictionaries(st.integers(min_value=1, max_value=7),
+                             st.integers(min_value=1, max_value=3),
+                             max_size=4).map(lambda d: mono_from_exponents(d.items()))
+
+
+@pytest.mark.parametrize("rho", _ORACLE_RHOS, ids=lambda rho: rho.to_text())
+@given(data=st.data())
+def test_apply_matches_the_term_by_term_oracle(rho, data):
+    """Every Virasoro family at n = 2, 3, 5 and m in -2..2, LS and WS, the
+    one-term mult and deriv operators and operators with shift and skip,
+    on random polynomials over rho's field."""
+    op = data.draw(st.sampled_from(_ORACLE_OPS))
+    f = data.draw(st.dictionaries(wide_monos, _field_values(rho), max_size=5).map(
+        lambda d: TPoly.from_terms(rho.field, d.items())))
+    got, want = apply(op, f), _apply_term_by_term(op, f)
+    assert got == want and got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("rho", _ORACLE_RHOS, ids=lambda rho: rho.to_text())
+@given(data=st.data())
+def test_rational_scale_is_the_embedded_scale(rho, data):
+    """Scaling by an int or a Fraction, which every field's values multiply
+    by as it is, equals scaling by the field value it embeds to."""
+    field = rho.field
+    f = data.draw(st.dictionaries(monos, _field_values(rho), max_size=4).map(
+        lambda d: TPoly.from_terms(field, d.items())))
+    c = data.draw(st.integers(-3, 3) | fractions)
+    r = data.draw(st.integers(1, 5))
+    for got, want in ((f.scale(c), f.scale(field.from_fraction(c))),
+                      (f.mul_var(r, c), f.mul_var(r).scale(field.from_fraction(c)))):
+        assert got == want and hash(got) == hash(want) and got.to_text() == want.to_text()
 
 
 def test_commutator_apply_antisymmetry():

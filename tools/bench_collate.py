@@ -17,6 +17,9 @@ It also times the heavy sweeps the benchmark leaves out, each in a fresh
 interpreter (cold caches): the criterion-7 straightening sweep at generic
 rho; criterion 11's ``Exchange`` grid at generic rho and at rho = 2, and its
 sweeps over Q alone (``Lemma32`` at rho = 0, ``LemmaA1`` and ``CorA2``);
+the operator sweeps at xi_2 and xi_3 (criterion 4's ``Bracket`` grid and
+criterion 11's ``Prop33`` and ``CorLtilde``), where operator application
+is the largest cost;
 ``T1.2`` with m = 1 on every partition of size at most 6 at xi_5 and at
 xi_7, fields with phi(n) = 4 and 6; and ``import hlvir.cli`` itself, the
 cold start every hlvir process pays (the child imports nothing else first).
@@ -48,13 +51,12 @@ from run import REFERENCE_S, reference_s  # noqa: E402
 
 REPEATS = 5
 
-# criterion 11's grids named in ``cells``, a list of (case id, rho); a rho
-# cuts the grid's rho axis to that one field, and None keeps the grid whole
-_C11 = """
+# the desk grids named in ``cells``, a list of (case id, rho); a rho cuts
+# the grid's rho axis to that one field, and None keeps the grid whole
+_GRIDS = """
 from hlvir.exactnum import RHO_GENERIC, RHO_ZERO, RhoSpec
 from hlvir.selftest import CRITERIA, Grid
-grids = {{g.case_id: g for row in CRITERIA if row.number == 11 for g in row.checks
-         if isinstance(g, Grid)}}
+grids = {{g.case_id: g for row in CRITERIA for g in row.checks if isinstance(g, Grid)}}
 def cut(case_id, rho):
     grid = grids[case_id]
     return grid if rho is None else Grid(case_id, {{**grid.axes, "rho": (rho,)}}, grid.skip)
@@ -87,10 +89,12 @@ t0 = clock()
 failed = sum(1 for lam in labels if straighten(lam, rho).evaluate(rho) != hl_q(lam, rho))
 cases = len(labels)
 """,
-    "exchange_generic": _C11.format(cells='[("Exchange", RHO_GENERIC)]'),
-    "exchange_rational": _C11.format(cells='[("Exchange", RhoSpec.rational(2))]'),
-    "c11_rational": _C11.format(
+    "exchange_generic": _GRIDS.format(cells='[("Exchange", RHO_GENERIC)]'),
+    "exchange_rational": _GRIDS.format(cells='[("Exchange", RhoSpec.rational(2))]'),
+    "c11_rational": _GRIDS.format(
         cells='[("Lemma32", RHO_ZERO), ("LemmaA1", None), ("CorA2", None)]'),
+    "operators_roots": _GRIDS.format(
+        cells='[("Bracket", None), ("Prop33", None), ("CorLtilde", None)]'),
     "t1_2_xi5": _T1_2.format(n=5),
     "t1_2_xi7": _T1_2.format(n=7),
     "cold_import": """
