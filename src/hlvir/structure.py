@@ -156,7 +156,7 @@ def _rewrite(label: Label, rho: RhoSpec, rho1, quad) -> Optional[list]:
 
 def _exchange(label: Label, pos: int, rho: RhoSpec, rho1, quad) -> list:
     """The (c, sub) pairs that resolve the ascent label[pos] = a < b = label[pos+1],
-    without those whose c is 0 (at rho = 0 all but at most two)."""
+    without those whose c is 0 (at rho = 0 all but at most one)."""
     a, b = label[pos], label[pos + 1]
     r = b - a
     field = rho.field
