@@ -17,8 +17,7 @@ from .exactnum import PoleError, RhoSpec
 from .structure import SingularCoefficientError, c_coeff, multiply_p, straighten
 from .tring import DegeneratePairingError, apply
 from .vertex import hl_q, read_cache_max, set_cache_enabled
-from .virasoro import (IDENTITIES, TheoremCase, VirasoroSpec, build_operator,
-                       verify_case)
+from .virasoro import IDENTITIES, TheoremCase, build_operator, verify_case
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -57,7 +56,8 @@ def _parse_rho(text: str, max_order: int) -> RhoSpec:
     return rho
 
 
-def _parse_op(text: str) -> VirasoroSpec:
+def _parse_op(text: str) -> tuple:
+    """FAMILY:k=v,... as (family, m, n), n None when not given."""
     head, sep, tail = text.partition(":")
     family = _OP_FAMILIES.get(head.strip())
     if family is None or not sep:
@@ -78,7 +78,7 @@ def _parse_op(text: str) -> VirasoroSpec:
             raise ValueError(f"operator spec {text!r}: {value!r} is not an integer")
     if "m" not in params:
         raise ValueError(f"operator spec {text!r}: missing m")
-    return VirasoroSpec(family, params["m"], params.get("n"))
+    return family, params["m"], params.get("n")
 
 
 def _emit(args, text_value: str, json_payload: dict) -> None:
@@ -130,10 +130,10 @@ def _cmd_mulp(args) -> int:
 def _cmd_apply(args) -> int:
     rho = _parse_rho(args.rho, args.max_xi_order)
     lam = _parse_vector(args.lam)
-    spec = _parse_op(args.op)
-    if spec.n is not None:  # the operator's n is a root order
-        _check_order(spec.n, args.max_xi_order)
-    result = apply(build_operator(spec), hl_q(lam, rho))
+    family, m, n = _parse_op(args.op)
+    if n is not None:  # the operator's n is a root order
+        _check_order(n, args.max_xi_order)
+    result = apply(build_operator(family, m, n), hl_q(lam, rho))
     _emit(args, result.to_text(),
           {"rho": rho.to_text(), "lambda": list(lam), "op": args.op,
            "poly": result.to_json()})
@@ -147,11 +147,12 @@ def _cmd_verify(args) -> int:
                          + ", ".join(sorted(_CASE_NAMES)))
     if args.n is not None:  # every identity's n is a root order
         _check_order(args.n, args.max_xi_order)
-    rho = _parse_rho(args.rho, args.max_xi_order) if args.rho else None
-    lam = _parse_vector(args.lam) if args.lam is not None else None
-    case = TheoremCase(case_id, n=args.n, m=args.m, i=args.i, j=args.j,
-                       r=args.r, lam=lam, degree=args.degree, rho=rho)
-    verdict = verify_case(case)
+    params = {name: getattr(args, name) for name in ("n", "m", "i", "j", "r", "degree")}
+    if args.rho is not None:
+        params["rho"] = _parse_rho(args.rho, args.max_xi_order)
+    if args.lam is not None:
+        params["lam"] = _parse_vector(args.lam)
+    verdict = verify_case(TheoremCase(case_id, **params))
     if args.format == "json":
         print(json.dumps(verdict.to_json(), sort_keys=True))
     else:

@@ -18,7 +18,7 @@ from .structure import (SingularCoefficientError, c_coeff, mn_expand,
                         multiply_p, p_expand, partitions, straighten)
 from .tring import TPoly
 from .vertex import QCombination, clear_caches, hl_q
-from .virasoro import TheoremCase, VirasoroSpec, build_operator, verify_case
+from .virasoro import TheoremCase, build_operator, verify_case
 
 MAX_FAILURES_KEPT = 5
 
@@ -200,7 +200,7 @@ def _schur_normalization():
     """The two published normalizations of the Schur-side operator coincide
     for m >= 1: no multiplication-only quadratic terms may appear."""
     for m in range(1, 5):
-        op = build_operator(VirasoroSpec("LS", m))
+        op = build_operator("LS", m)
         ok = all(all(kind == "der" for kind, _ in term.factors)
                  for term in op.finite)
         ok = ok and op.skip is None

@@ -236,12 +236,10 @@ class TPoly(Sparse):
     def __rmul__(self, other) -> "TPoly":
         return self.scale(other)
 
-    def mul_var(self, r: int, c=None) -> "TPoly":
-        """Multiply by t_r (optionally scaled): cheaper than full product."""
+    def mul_var(self, r: int, c) -> "TPoly":
+        """Multiply by c t_r: cheaper than full product."""
         if not self.terms:
             return self
-        if c is None:
-            return TPoly(self.field, {mono_mul_var(m, r): a for m, a in self.terms.items()})
         if not c:
             return TPoly(self.field, {})
         return TPoly(self.field, {mono_mul_var(m, r): a * c for m, a in self.terms.items()})

@@ -24,35 +24,13 @@ import operator
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exactnum import QQ, RHO_ZERO, Frozen, RhoSpec
+from .exactnum import QQ, RHO_ZERO, RhoSpec
 from .structure import c_coeff, multiplicities, multiply_p, partitions
 from .tring import (LinOperator, OpTerm, TPoly, apply, commutator_apply,
                     mono_from_exponents)
 from .vertex import Label, QCombination, apply_B, apply_B_sum, hl_q, perp_t
 
 FAMILIES = ("Lmn", "Lhat", "Ltilde", "Wmn", "Vmn", "LS", "WS")
-
-
-class VirasoroSpec(Frozen):
-    """Which operator to build: family, mode index m, and (except for the
-    Schur families LS/WS) the root-of-unity order n >= 2."""
-
-    __slots__ = ("family", "m", "n")
-
-    def __init__(self, family: str, m: int, n: Optional[int] = None):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown operator family {family!r}")
-        if family in ("LS", "WS"):
-            if n is not None:
-                raise ValueError(f"{family} does not take an order n")
-        else:
-            if n is None or n < 2:
-                raise ValueError(f"{family} needs an order n >= 2")
-        if family in ("Wmn", "Vmn") and m < 1:
-            raise ValueError(f"{family} is defined for m >= 1 only")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
 
 
 def _second_order(p: int, kind: str, c: Fraction,
@@ -67,10 +45,19 @@ def _second_order(p: int, kind: str, c: Fraction,
 _HALF, _ONE = Fraction(1, 2), Fraction(1)
 
 
-def build_operator(spec: VirasoroSpec) -> LinOperator:
-    family, m = spec.family, spec.m
-    n = spec.n or 1
-    nm = n * m
+def build_operator(family: str, m: int, n: Optional[int] = None) -> LinOperator:
+    """The operator of a family at mode index m and, except for the Schur
+    families LS/WS, root-of-unity order n >= 2."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown operator family {family!r}")
+    if family in ("LS", "WS"):
+        if n is not None:
+            raise ValueError(f"{family} does not take an order n")
+    elif n is None or n < 2:
+        raise ValueError(f"{family} needs an order n >= 2")
+    if family in ("Wmn", "Vmn") and m < 1:
+        raise ValueError(f"{family} is defined for m >= 1 only")
+    nm = (n or 1) * m
     if family == "Wmn" or (family == "WS" and m >= 0):
         return LinOperator(_second_order(nm, "der", _ONE))
     if family == "WS":
@@ -220,20 +207,19 @@ def rhs_Vm(n: int, m: int, lam) -> QCombination:
 
 
 class TheoremCase:
-    """One verifiable instance: a theorem id plus its parameters.
+    """One verifiable instance: a theorem id plus the parameters it was given
+    (one passed as None is not given), such as n, m, lam, rho and a sweep's
+    degree bound.
 
     Single-instance ids compare the two sides on one lam; operator-identity
     ids sweep all monomials up to the degree bound.
     """
 
-    __slots__ = ("id", "n", "m", "i", "j", "r", "lam", "degree", "rho")
+    __slots__ = ("id", "params")
 
-    def __init__(self, id: str, n: Optional[int] = None, m: Optional[int] = None,
-                 i: Optional[int] = None, j: Optional[int] = None,
-                 r: Optional[int] = None, lam: Optional[tuple] = None,
-                 degree: Optional[int] = None, rho: Optional[RhoSpec] = None):
-        self.id, self.n, self.m, self.i, self.j = id, n, m, i, j
-        self.r, self.lam, self.degree, self.rho = r, lam, degree, rho
+    def __init__(self, id: str, **params):
+        self.id = id
+        self.params = {name: value for name, value in params.items() if value is not None}
 
 
 class Verdict:
@@ -246,14 +232,11 @@ class Verdict:
 
     def to_json(self) -> dict:
         case: dict = {"id": self.case.id}
-        for name in ("n", "m", "i", "j", "r", "degree"):
-            value = getattr(self.case, name)
-            if value is not None:
-                case[name] = value
-        if self.case.lam is not None:
-            case["lambda"] = list(self.case.lam)
-        if self.case.rho is not None:
-            case["rho"] = self.case.rho.to_text()
+        for name, value in self.case.params.items():
+            if name == "lam":
+                case["lambda"] = list(value)
+            else:
+                case[name] = value.to_text() if name == "rho" else value
         out = {"case": case, "equal": self.equal,
                "lhs": self.lhs.to_json(), "rhs": self.rhs.to_json(),
                "diff": self.diff.to_json()}
@@ -290,9 +273,9 @@ def _mult(r: int, lam, rho: RhoSpec):
 
 def _bracket(n: int, i: int, j: int):
     rho = RhoSpec.root(n)
-    op_i = build_operator(VirasoroSpec("Lmn", i, n))
-    op_j = build_operator(VirasoroSpec("Lmn", j, n))
-    op_ij = build_operator(VirasoroSpec("Lmn", i + j, n))
+    op_i = build_operator("Lmn", i, n)
+    op_j = build_operator("Lmn", j, n)
+    op_ij = build_operator("Lmn", i + j, n)
     central = Fraction(n * n * (n - 1) * (i ** 3 - i), 12) if i + j == 0 else Fraction(0)
     return rho, lambda f: (
         commutator_apply(op_i, op_j, f),
@@ -343,7 +326,7 @@ def _prop33(rho: RhoSpec, op: LinOperator, nm: int, r: int):
 
 def _cor_ltilde(n: int, m: int, r: int):
     rho, nm = RhoSpec.root(n), n * m
-    op = build_operator(VirasoroSpec("Ltilde", m, n))
+    op = build_operator("Ltilde", m, n)
     return _commutator(rho, op, r, lambda f: [(r, r - nm, f)] + [
         (-rho.rho_pow(-k), r - nm + k, f.diff(k)) for k in range(1, nm + 1)])
 
@@ -382,25 +365,20 @@ class Identity:
 
 IDENTITIES = (
     Identity("T1.1", "T1.1", ("n", "m", "lam"), False, lambda n, m, lam: (
-        RhoSpec.root(n), build_operator(VirasoroSpec("Lmn", m, n)), lam,
-        rhs_T1_1(n, m, lam))),
+        RhoSpec.root(n), build_operator("Lmn", m, n), lam, rhs_T1_1(n, m, lam))),
     Identity("T1.2", "T1.2", ("n", "m", "lam"), False, lambda n, m, lam: (
-        RhoSpec.root(n), build_operator(VirasoroSpec("Lmn", -m, n)), lam,
-        rhs_T1_2(n, m, lam))),
+        RhoSpec.root(n), build_operator("Lmn", -m, n), lam, rhs_T1_2(n, m, lam))),
     Identity("T3.3", "T3.3", ("n", "m", "lam"), False, lambda n, m, lam: (
-        RhoSpec.root(n), build_operator(VirasoroSpec("Lhat", -m, n)), lam,
-        rhs_T3_3(n, m, lam))),
+        RhoSpec.root(n), build_operator("Lhat", -m, n), lam, rhs_T3_3(n, m, lam))),
     Identity("TA.3", "TA.3", ("m", "lam"), False, lambda m, lam: (
-        RHO_ZERO, build_operator(VirasoroSpec("LS", m)), lam, rhs_TA3(m, lam))),
+        RHO_ZERO, build_operator("LS", m), lam, rhs_TA3(m, lam))),
     Identity("TA.4", "TA.4", ("m", "lam"), False, lambda m, lam: (
-        RHO_ZERO, build_operator(VirasoroSpec("LS", -m)), lam, rhs_TA4(m, lam))),
+        RHO_ZERO, build_operator("LS", -m), lam, rhs_TA4(m, lam))),
     # L^S_{-m} 1 is TA.4 at lam = (); W^S_{-m} 1 = sum p_k p_{m-k} is twice it
     Identity("BaseA", "baseA", ("m",), False, lambda m: (
-        RHO_ZERO, build_operator(VirasoroSpec("LS", -m)), (), rhs_TA4(m, ())),
-        "m >= 1"),
+        RHO_ZERO, build_operator("LS", -m), (), rhs_TA4(m, ())), "m >= 1"),
     Identity("RemarkA", "remarkA", ("m",), False, lambda m: (
-        RHO_ZERO, build_operator(VirasoroSpec("WS", -m)), (),
-        rhs_TA4(m, ()).scale(2)), "m >= 1"),
+        RHO_ZERO, build_operator("WS", -m), (), rhs_TA4(m, ()).scale(2)), "m >= 1"),
     Identity("MultFormula", "mult", ("r", "lam", "rho"), False, _mult),
     Identity("DerivFormula", "deriv", ("r", "lam", "rho"), False, lambda r, lam, rho: (
         rho, LinOperator((OpTerm(_ONE, (("der", r),)),)), lam, QCombination.from_terms(
@@ -411,19 +389,17 @@ IDENTITIES = (
     Identity("PrB", "prB", ("r", "m", "rho"), True, _pr_b, "r >= 1"),
     Identity("TrPerpB", "trPerpB", ("r", "m", "rho"), True, _tr_perp_b, "r >= 1"),
     Identity("Prop33", "prop33", ("n", "m", "r"), True, lambda n, m, r: _prop33(
-        RhoSpec.root(n), build_operator(VirasoroSpec("Lhat", m, n)), n * m, r),
-        "m != 0"),
+        RhoSpec.root(n), build_operator("Lhat", m, n), n * m, r), "m != 0"),
     Identity("CorLtilde", "corLtilde", ("n", "m", "r"), True, _cor_ltilde, "m >= 1"),
     Identity("Lemma32", "lemma32", ("r", "rho"), True, _lemma32),
     Identity("LemmaA1", "lemmaA1", ("m", "r"), True, lambda m, r: _prop33(
         RHO_ZERO, LinOperator(shift=m), m, r), "m != 0"),
     Identity("CorA2", "corA2", ("m", "r"), True, lambda m, r: _commutator(
-        RHO_ZERO, build_operator(VirasoroSpec("LS", m)), r, lambda f: (
+        RHO_ZERO, build_operator("LS", m), r, lambda f: (
             (r - Fraction(m + 1, 2), r - m, f),
             (-1, r, f.diff(m) if m >= 1 else _p_mul(-m, f)))), "m != 0"),
     Identity("VmQ", "vm", ("n", "m", "lam"), False, lambda n, m, lam: (
-        RhoSpec.root(n), build_operator(VirasoroSpec("Vmn", m, n)), lam,
-        rhs_Vm(n, m, lam))),
+        RhoSpec.root(n), build_operator("Vmn", m, n), lam, rhs_Vm(n, m, lam))),
 )
 
 _BY_ID = {row.id: row for row in IDENTITIES}
@@ -436,23 +412,29 @@ def verify_case(case: TheoremCase) -> Verdict:
     row = _BY_ID.get(case.id)
     if row is None:
         raise ValueError(f"unknown theorem case id {case.id!r}")
-    for name in row.fields + (("degree",) if row.sweep else ()):
-        if getattr(case, name) is None:
+    params, wanted = case.params, row.fields + (("degree",) if row.sweep else ())
+    for name in wanted:
+        if name not in params:
             raise ValueError(f"case {case.id} needs parameter {name!r}")
+    for name in params:
+        if name not in wanted:
+            raise ValueError(f"case {case.id} does not take parameter {name!r}")
     if row.guard:
         name, op, bound = row.guard.split()
-        if not _GUARD_OPS[op](getattr(case, name), int(bound)):
+        if not _GUARD_OPS[op](params[name], int(bound)):
             raise ValueError(f"{case.id} needs {row.guard}")
-    result = row.fn(*(tuple(int(x) for x in case.lam) if name == "lam"
-                      else getattr(case, name) for name in row.fields))
+    result = row.fn(*(tuple(int(x) for x in params["lam"]) if name == "lam"
+                      else params[name] for name in row.fields))
     if not row.sweep:
         rho, op, lam, comb = result
         lhs, rhs = apply(op, hl_q(lam, rho)), comb.evaluate(rho)
-        return Verdict(case, lhs == rhs, lhs, rhs, lhs - rhs)
+        equal = lhs == rhs
+        return Verdict(case, equal, lhs, rhs, TPoly.zero(rho.field) if equal else lhs - rhs)
     rho, sides = result
-    if case.degree < 0:
-        raise ValueError(f"case {case.id} needs degree >= 0, got {case.degree}")
-    for f in monomial_basis(rho.field, case.degree):
+    degree = params["degree"]
+    if degree < 0:
+        raise ValueError(f"case {case.id} needs degree >= 0, got {degree}")
+    for f in monomial_basis(rho.field, degree):
         lhs, rhs = sides(f)
         if lhs != rhs:
             return Verdict(case, False, lhs, rhs, lhs - rhs,

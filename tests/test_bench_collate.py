@@ -101,8 +101,9 @@ def test_xi_sweep_checks_t1_2_on_every_small_partition(monkeypatch, name, n):
     scope = {"clock": lambda: 0.0}
     exec(tool.SWEEPS[name], scope)
     assert (scope["cases"], scope["failed"]) == (30, 0)
-    assert [(c.id, c.n, c.m) for c in seen] == [("T1.2", n, 1)] * 30
-    assert [c.lam for c in seen] == [lam for size in range(7) for lam in partitions(size)]
+    assert [(c.id, c.params["n"], c.params["m"]) for c in seen] == [("T1.2", n, 1)] * 30
+    assert [c.params["lam"] for c in seen] == [lam for size in range(7)
+                                               for lam in partitions(size)]
 
 
 def test_cold_import_sweep_times_the_cli_import_in_a_fresh_child():
@@ -141,7 +142,8 @@ def _run_grid_sweep(monkeypatch, name):
 def _cases_by_id(seen):
     got: dict = {}
     for case in seen:
-        got.setdefault(case.id, set()).add(case.rho and case.rho.to_text())
+        rho = case.params.get("rho")
+        got.setdefault(case.id, set()).add(rho and rho.to_text())
     return got
 
 
@@ -168,4 +170,4 @@ def test_operators_roots_sweep_runs_the_operator_grids_at_xi_2_and_xi_3(monkeypa
     assert len(seen) == 182 == sum(math.prod(map(len, grids[case_id].axes.values()))
                                    for case_id in want)
     assert _cases_by_id(seen) == {case_id: {None} for case_id in want}
-    assert {case.n for case in seen} == {2, 3}
+    assert {case.params["n"] for case in seen} == {2, 3}

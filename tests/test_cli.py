@@ -132,6 +132,25 @@ def test_query_golden(capsys, name, fmt):
     assert code == 0 and out == entry[fmt]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_verify_refuses_a_parameter_its_case_does_not_read(capsys, name):
+    """Each golden call plus one valid option its row does not read: no row
+    reads both rho and n."""
+    row = next(row for row in IDENTITIES if row.name == name)
+    extra = "n" if "rho" in row.fields else "rho"
+    code, out, err = run_cli(capsys, "verify", "--case", name,
+                             *GOLDEN_VERIFY[name]["args"].split(), f"--{extra}", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: case {row.id} does not take parameter {extra!r}\n"
+
+
+def test_verify_refuses_an_empty_rho(capsys):
+    for case in (["T1.1", "--n", "2", "--m", "1", "--lambda", "1"],
+                 ["mult", "--r", "1", "--lambda", "1"]):
+        code, out, err = run_cli(capsys, "verify", "--case", *case, "--rho=")
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_case_names_come_from_the_identity_table():
     assert cli._CASE_NAMES == {row.name: row.id for row in IDENTITIES}
     assert CASE_IDS == tuple(row.id for row in IDENTITIES)
@@ -390,7 +409,7 @@ def test_desk_runs_each_criterion_from_empty_caches(monkeypatch):
 
 def test_grid_failure_names_the_cell(monkeypatch):
     monkeypatch.setattr(selftest, "verify_case", lambda case: SimpleNamespace(
-        equal=case.r != 1, detail="first failure on 1"))
+        equal=case.params["r"] != 1, detail="first failure on 1"))
     row = selftest.Criterion(1, "grid", (selftest.Grid(
         "PrB", {"rho": (RhoSpec.root(2),), "r": (1, 2, 3), "m": (0,)},
         lambda rho, r, m: r == 3),))

@@ -12,7 +12,7 @@ from hlvir.tring import (DegeneratePairingError, LinOperator, OpTerm, TPoly,
                          apply, commutator_apply, inner_product, mono_degree,
                          mono_from_exponents)
 from hlvir.vertex import QCombination
-from hlvir.virasoro import FAMILIES, VirasoroSpec, build_operator
+from hlvir.virasoro import FAMILIES, build_operator
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -80,7 +80,7 @@ def test_additive_inverse(f):
 
 @given(tpolys, st.integers(min_value=1, max_value=5))
 def test_mul_var_matches_full_product(f, r):
-    assert f.mul_var(r) == f * TPoly.var(QQ, r)
+    assert f.mul_var(r, 1) == f * TPoly.var(QQ, r)
 
 
 @given(tpolys, tpolys, st.integers(min_value=1, max_value=4))
@@ -92,7 +92,7 @@ def test_derivative_product_rule(f, g, r):
 @given(tpolys, st.integers(min_value=1, max_value=4))
 def test_derivative_of_var_multiple(f, r):
     assert TPoly.one(QQ).diff(r) == TPoly.zero(QQ)
-    assert f.mul_var(r).diff(r) == f + f.diff(r).mul_var(r)
+    assert f.mul_var(r, 1).diff(r) == f + f.diff(r).mul_var(r, 1)
 
 
 def test_degree_and_homogeneity():
@@ -166,7 +166,7 @@ def test_one_term_operator_is_its_direct_call(f, r):
     assert apply(LinOperator((OpTerm(Fraction(1), (("der", r),)),)), f) == f.diff(r)
     assert apply(LinOperator((OpTerm(Fraction(r), (("mul", r),)),)), f) == f.mul_var(r, r)
     assert (apply(LinOperator((OpTerm(Fraction(-2, 3), (("mul", 1), ("der", r))),)), f)
-            == f.diff(r).mul_var(1).scale(Fraction(-2, 3)))
+            == f.diff(r).mul_var(1, 1).scale(Fraction(-2, 3)))
 
 
 # The term-by-term form of ``apply``, kept as its oracle: each term is a
@@ -178,7 +178,7 @@ def _apply_term_by_term(op: LinOperator, f: TPoly) -> TPoly:
     for term in op.finite:
         g = f
         for kind, a in reversed(term.factors):
-            g = g.diff(a) if kind == "der" else g.mul_var(a)
+            g = g.diff(a) if kind == "der" else g.mul_var(a, 1)
         _accumulate(out, g.scale(term.coeff).terms.items())
     shift, skip = op.shift, op.skip
     if shift is not None:
@@ -207,9 +207,9 @@ def _field_values(rho):
 
 
 _ORACLE_OPS = (
-    [build_operator(VirasoroSpec(family, m, n)) for family in FAMILIES[:5]
+    [build_operator(family, m, n) for family in FAMILIES[:5]
      for n in (2, 3, 5) for m in range(-2, 3) if m >= 1 or family not in ("Wmn", "Vmn")]
-    + [build_operator(VirasoroSpec(family, m)) for family in ("LS", "WS") for m in range(-3, 4)]
+    + [build_operator(family, m) for family in ("LS", "WS") for m in range(-3, 4)]
     + [LinOperator((OpTerm(Fraction(r), (("mul", r),)),)) for r in range(1, 6)]
     + [LinOperator((OpTerm(Fraction(1), (("der", r),)),)) for r in range(1, 6)]
     + [LinOperator((OpTerm(Fraction(-2, 3), (("mul", 1), ("der", 2))),
@@ -247,7 +247,7 @@ def test_rational_scale_is_the_embedded_scale(rho, data):
     c = data.draw(st.integers(-3, 3) | fractions)
     r = data.draw(st.integers(1, 5))
     for got, want in ((f.scale(c), f.scale(field.from_fraction(c))),
-                      (f.mul_var(r, c), f.mul_var(r).scale(field.from_fraction(c)))):
+                      (f.mul_var(r, c), f.mul_var(r, 1).scale(field.from_fraction(c)))):
         assert got == want and hash(got) == hash(want) and got.to_text() == want.to_text()
 
 

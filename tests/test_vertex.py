@@ -318,7 +318,7 @@ def test_perp_t_is_adjoint_to_multiplication():
     g = hl_q((3,), rho)
     r = 2
     lhs = inner_product(perp_t(r, f, rho), g, rho)
-    rhs = inner_product(f, g.mul_var(r), rho)
+    rhs = inner_product(f, g.mul_var(r, 1), rho)
     assert lhs == rhs
 
 

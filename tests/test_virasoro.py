@@ -13,8 +13,8 @@ from hlvir.tring import LinOperator, OpTerm, TPoly, apply, commutator_apply
 from hlvir.structure import multiply_p
 from hlvir.vertex import QCombination, apply_B, hl_q, perp_t
 from hlvir.virasoro import (CASE_IDS, FAMILIES, IDENTITIES, TheoremCase,
-                            VirasoroSpec, build_operator, monomial_basis,
-                            rhs_T1_1, rhs_T1_2, verify_case)
+                            build_operator, monomial_basis, rhs_T1_1, rhs_T1_2,
+                            verify_case)
 
 X2 = RhoSpec.root(2)
 X3 = RhoSpec.root(3)
@@ -30,12 +30,12 @@ def test_spec_validation():
             (("Wmn", 0, 2), "Wmn is defined for m >= 1 only"),
             (("nope", 1, 2), "unknown operator family 'nope'")]:
         with pytest.raises(ValueError) as err:
-            VirasoroSpec(*args)
+            build_operator(*args)
         assert str(err.value) == message
 
 
 @pytest.mark.parametrize("record, name", [
-    (RhoSpec.root(3), "order"), (RHO_GENERIC, "kind"), (VirasoroSpec("Lmn", 1, 2), "m"),
+    (RhoSpec.root(3), "order"), (RHO_GENERIC, "kind"),
     (OpTerm(Fraction(1), (("der", 1),)), "coeff"), (LinOperator(shift=0), "skip")])
 def test_records_are_immutable(record, name):
     before = getattr(record, name)
@@ -49,19 +49,19 @@ def test_records_are_immutable(record, name):
 
 
 def test_operator_shapes():
-    lhat = build_operator(VirasoroSpec("Lhat", 2, 2))
+    lhat = build_operator("Lhat", 2, 2)
     assert not lhat.finite and (lhat.shift, lhat.skip) == (4, None)
-    lmn = build_operator(VirasoroSpec("Lmn", -1, 3))
+    lmn = build_operator("Lmn", -1, 3)
     assert (lmn.shift, lmn.skip) == (-3, 3) and len(lmn.finite) == 2
-    w = build_operator(VirasoroSpec("Wmn", 1, 3))
+    w = build_operator("Wmn", 1, 3)
     assert w.shift is None and len(w.finite) == 2
-    v = build_operator(VirasoroSpec("Vmn", 1, 2))
+    v = build_operator("Vmn", 1, 2)
     assert all(kind == "mul" for term in v.finite for kind, _ in term.factors)
     assert len(v.finite) == 1  # k = 1 only; k = 2 is filtered
 
 
 def test_zero_mode_constant_term():
-    l0 = build_operator(VirasoroSpec("Lmn", 0, 2))
+    l0 = build_operator("Lmn", 0, 2)
     consts = [t for t in l0.finite if not t.factors]
     assert len(consts) == 1 and consts[0].coeff == Fraction(3, 24)
 
@@ -69,12 +69,12 @@ def test_zero_mode_constant_term():
 # -- every family against the formulas of the module docstring
 
 
-def _docstring_action(spec: VirasoroSpec, f: TPoly) -> TPoly:
+def _docstring_action(family: str, m: int, n, f: TPoly) -> TPoly:
     """The operator of the virasoro module docstring applied to f, summed
     term by term from d_k and t_k (p_k = k t_k; t_k = d_k = 0 for k <= 0)."""
-    n, m = spec.n or 1, spec.m
+    n = n or 1
     nm = n * m
-    filtered = spec.family in ("Lmn", "Vmn")     # the sums over n !| k
+    filtered = family in ("Lmn", "Vmn")     # the sums over n !| k
 
     def keep(k):
         return not filtered or k % n != 0
@@ -98,17 +98,17 @@ def _docstring_action(spec: VirasoroSpec, f: TPoly) -> TPoly:
         if k + nm >= 1 and keep(k):
             grading = grading + f.diff(k + nm).mul_var(k, k)
     half = Fraction(1, 2)
-    if spec.family in ("Lmn", "LS"):
+    if family in ("Lmn", "LS"):
         # -(1/2) k(mn+k) t_k t_{-mn-k} is (1/2) p_k p_{-mn-k}
         out = grading + dd(nm).scale(half) + pp(-nm).scale(half)
-        if spec.family == "Lmn" and m == 0:
+        if family == "Lmn" and m == 0:
             out = out + f.scale(Fraction(n * n - 1, 24))
         return out
-    if spec.family == "Lhat":
+    if family == "Lhat":
         return grading
-    if spec.family == "Ltilde":
+    if family == "Ltilde":
         return grading + dd(nm).scale(half)
-    if spec.family in ("Wmn", "WS"):
+    if family in ("Wmn", "WS"):
         return dd(nm) + pp(-nm)
     return pp(nm)       # Vmn
 
@@ -120,38 +120,37 @@ def test_operators_match_docstring_formulas(family):
     basis = monomial_basis(QQ, 6)
     for n in orders:
         for m in modes:
-            spec = VirasoroSpec(family, m, n)
-            op = build_operator(spec)
+            op = build_operator(family, m, n)
             for f in basis:
-                assert apply(op, f) == _docstring_action(spec, f), (spec, f)
+                assert apply(op, f) == _docstring_action(family, m, n, f), (family, m, n, f)
 
 
 # -- hand anchors
 
 def test_zero_mode_eigenvalue():
     f = TPoly.var(X2.field, 1, 2)
-    l0 = build_operator(VirasoroSpec("Lmn", 0, 2))
+    l0 = build_operator("Lmn", 0, 2)
     assert apply(l0, f) == TPoly.var(X2.field, 1, Fraction(9, 4))
 
 
 def test_negative_mode_on_vacuum():
-    lm1 = build_operator(VirasoroSpec("Lmn", -1, 2))
+    lm1 = build_operator("Lmn", -1, 2)
     got = apply(lm1, TPoly.one(X2.field))
     assert got == TPoly(X2.field, {((1, 2),): X2.field.from_fraction(Fraction(1, 2))})
 
 
 def test_schur_negative_mode_on_vacuum():
-    lsm2 = build_operator(VirasoroSpec("LS", -2))
+    lsm2 = build_operator("LS", -2)
     assert apply(lsm2, TPoly.one(QQ)) == TPoly(QQ, {((1, 2),): Fraction(1, 2)})
 
 
 def test_bracket_on_vectors():
-    l1 = build_operator(VirasoroSpec("Lmn", 1, 2))
-    lm1 = build_operator(VirasoroSpec("Lmn", -1, 2))
+    l1 = build_operator("Lmn", 1, 2)
+    lm1 = build_operator("Lmn", -1, 2)
     t1 = TPoly.var(X2.field, 1)
     assert commutator_apply(l1, lm1, t1) == TPoly.var(X2.field, 1, Fraction(9, 2))
-    l2 = build_operator(VirasoroSpec("Lmn", 2, 2))
-    lm2 = build_operator(VirasoroSpec("Lmn", -2, 2))
+    l2 = build_operator("Lmn", 2, 2)
+    lm2 = build_operator("Lmn", -2, 2)
     # n(i-j) L_0(1) = 1 plus central charge 2
     assert commutator_apply(l2, lm2, TPoly.one(X2.field)) == TPoly.one(X2.field).scale(3)
 
@@ -160,7 +159,7 @@ def test_eigenvalue_of_weight():
     """The zero mode acts on any Q by its weight plus the constant."""
     for n in (2, 3):
         rho = RhoSpec.root(n)
-        l0 = build_operator(VirasoroSpec("Lmn", 0, n))
+        l0 = build_operator("Lmn", 0, n)
         for lam in [(1,), (2, 1), (3, 1, 1)]:
             f = hl_q(lam, rho)
             scale = Fraction(sum(lam)) + Fraction(n * n - 1, 24)
@@ -343,7 +342,7 @@ def test_fused_sides_match_their_term_by_term_formulas(case_id):
 # against their formulas written out directly
 
 def _base_a_sides(m):
-    lhs = apply(build_operator(VirasoroSpec("LS", -m)), TPoly.one(QQ))
+    lhs = apply(build_operator("LS", -m), TPoly.one(QQ))
     rhs = QCombination.from_terms(QQ, (
         ((k,) + (1,) * (m - k),
          Fraction((-1) ** (m - k + 1)) * (Fraction(m + 1, 2) - k))
@@ -354,7 +353,7 @@ def _base_a_sides(m):
 def _remark_a_sides(m):
     lhs = TPoly.zero(QQ)
     for k in range(1, m):
-        lhs = lhs + TPoly.one(QQ).mul_var(k).mul_var(m - k, Fraction(k * (m - k)))
+        lhs = lhs + TPoly.one(QQ).mul_var(k, 1).mul_var(m - k, Fraction(k * (m - k)))
     rhs = QCombination.from_terms(QQ, (
         ((k,) + (1,) * (m - k), Fraction((-1) ** (m - k) * (2 * k - m - 1)))
         for k in range(1, m + 1))).evaluate(RHO_ZERO)
@@ -415,6 +414,15 @@ def test_unknown_case_rejected():
         verify_case(TheoremCase("T9.9"))
     with pytest.raises(ValueError):
         verify_case(TheoremCase("T1.1", n=2))  # lam missing
+
+
+def test_unread_parameter_rejected():
+    with pytest.raises(ValueError, match="does not take parameter 'rho'"):
+        verify_case(TheoremCase("T1.1", n=2, m=0, lam=(1,), rho=RhoSpec.rational(2)))
+    # before the row's own checks, and a parameter passed as None is not given
+    with pytest.raises(ValueError, match="does not take parameter 'r'"):
+        verify_case(TheoremCase("BaseA", m=0, r=1))
+    assert verify_case(TheoremCase("BaseA", m=3, r=None, rho=None)).equal
 
 
 def test_verdict_json():
