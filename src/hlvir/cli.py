@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .exactnum import PoleError, RhoSpec
+from .exactnum import RhoSpec
 from .structure import SingularCoefficientError, c_coeff, multiply_p, straighten
 from .tring import DegeneratePairingError, apply
 from .vertex import hl_q, read_cache_max, set_cache_enabled
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     try:
         read_cache_max()
         return args.handler(args)
-    except (SingularCoefficientError, PoleError) as exc:
+    except SingularCoefficientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except DegeneratePairingError as exc:

@@ -9,9 +9,11 @@ Three coefficient fields, all exact (no floating point anywhere):
 * Q(rho)          -- ``RatFunc``: rational functions in one indeterminate rho,
                      num/den of packed ``rhopoly.UniPoly`` values
 
-plus the specialization maps that send a rational function to its exact value
-(a limit, when the naive substitution is 0/0) at rho = xi_n or at a rational
-point.  ``RhoSpec`` bundles the choice of specialization with its field.
+``RhoSpec`` names the rho being worked at and its field; every value at that
+rho is computed in that field.  The specialization maps, which send a
+rational function to its exact value (a limit, when the naive substitution
+is 0/0) at rho = xi_n or at a rational point, are not on that route: they
+are the tests' second route to a value at rho, and the tracer's targets.
 
 Each field tag owns one scaled-sum kernel, ``lincomb``: the sum of c * terms
 over (c, terms) pairs, normalized once per output key over Q (integers over
@@ -727,15 +729,19 @@ class RhoSpec(Frozen):
 
     @staticmethod
     def parse(text: str) -> "RhoSpec":
+        """'generic', 'xi:<n>' or a rational such as 0, -1, 1/2."""
         text = text.strip()
         if text == "generic":
             return RhoSpec.generic()
-        if text.startswith("xi:"):
-            return RhoSpec.root(int(text[3:]))
+        root = text.startswith("xi:")
         try:
-            return RhoSpec.rational(Fraction(text))
+            value = int(text[3:]) if root else Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"rho {text!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"rho {text!r} is not 'generic', 'xi:<n>' or a rational"
+                             " such as 0, -1, 1/2") from None
+        return RhoSpec.root(value) if root else RhoSpec.rational(value)
 
     @property
     def field(self):
@@ -759,14 +765,6 @@ class RhoSpec(Frozen):
 
     def one_minus_rho_pow(self, k: int):
         return self.field.one - self.rho_pow(k)
-
-    def specialize(self, f: RatFunc):
-        """Send a generic-field value into this rho's field (exact limit)."""
-        if self.kind == "generic":
-            return f
-        if self.kind == "rational":
-            return specialize_at_rational(f, self.value)
-        return specialize_at_root(f, self.order)
 
     def to_text(self) -> str:
         if self.kind == "generic":

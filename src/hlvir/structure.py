@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .exactnum import PoleError, RatFunc, RhoSpec, UniPoly
+from .exactnum import RhoSpec
 from .vertex import Label, QCombination, _cache_put, _new_cache
 
 # ---------------------------------------------------------------------------
@@ -194,52 +194,42 @@ class SingularCoefficientError(ArithmeticError):
             f"c_{list(mu)} has a pole at rho = {rho.to_text()}")
 
 
-def _phi_poly(k: int) -> UniPoly:
-    """phi_k(rho) = prod_{i=1}^{k} (1 - rho^i) as a polynomial."""
-    out = UniPoly.constant(1)
-    for i in range(1, k + 1):
-        out = out * (UniPoly.constant(1) - UniPoly.x_pow(i))
-    return out
-
-
-def c_coeff_generic(mu: Label) -> RatFunc:
-    """c_mu as a rational function of rho.
-
-    c_mu = (-1)^{l-1} rho^{n(mu) - l(l-1)/2} phi_{l-1}(rho) / b_mu(rho)
-    with b_mu = prod over part values v of phi_{m_v}, l = length(mu).
-    The rho exponent is always nonnegative, so the numerator is polynomial.
-    """
-    mu = tuple(mu)
-    if not is_partition(mu) or (mu and mu[-1] == 0):
-        raise ValueError(f"c coefficient needs a partition with positive parts, got {list(mu)}")
-    l = len(mu)
-    if l == 0:
-        return RatFunc.constant(1)
-    exponent = n_stat(mu) - l * (l - 1) // 2
-    num = _phi_poly(l - 1) * UniPoly.x_pow(exponent, 1 if (l - 1) % 2 == 0 else -1)
-    den = UniPoly.constant(1)
-    for m in multiplicities(mu).values():
-        den = den * _phi_poly(m)
-    return RatFunc.make(num, den)
-
-
 def c_coeff(mu: Iterable[int], rho: RhoSpec):
-    """c_mu evaluated at rho, as a value of rho's field.
+    """c_mu at rho, as a value of rho's field:
 
-    At a root of unity or a rational rho the generic rational function is
-    specialized by exact limit; a genuine pole raises SingularCoefficientError.
+        c_mu = (-1)^{l-1} rho^{n(mu) - l(l-1)/2} phi_{l-1}(rho) / b_mu(rho),
+
+    l = length(mu), phi_k = prod_{i=1}^{k} (1 - rho^i) and b_mu the product
+    of phi_{m_v} over the multiplicities m_v of mu's part values; c_() = 1.
+    The rho exponent is never negative.  A factor 1 - rho^i vanishes only at
+    a root of unity, where its zero is simple and (1 - rho^i)/(1 - rho^j)
+    tends to i/j.  So a zero factor of the numerator and one of the
+    denominator pair off as i/j: c_mu is 0 when the numerator has more zero
+    factors, and has a pole (SingularCoefficientError) when b_mu has more.
     """
     mu = tuple(int(x) for x in mu)
     key = (rho.key, mu)
     hit = _C_CACHE.get(key)
     if hit is not None:
         return hit
-    generic = c_coeff_generic(mu)
-    try:
-        val = rho.specialize(generic)
-    except PoleError:
-        raise SingularCoefficientError(mu, rho) from None
-    return _cache_put(_C_CACHE, key, val)
+    if not is_partition(mu) or (mu and mu[-1] == 0):
+        raise ValueError(f"c coefficient needs a partition with positive parts, got {list(mu)}")
+    l = len(mu)
+    if not l:
+        return _cache_put(_C_CACHE, key, rho.field.one)
+    num = rho.rho_pow(n_stat(mu) - l * (l - 1) // 2) * (1 if l % 2 else -1)
+    den = rho.field.one
+    zeros = 0  # zero factors of the numerator less those of the denominator
+    for i in range(1, l):
+        f = rho.one_minus_rho_pow(i)
+        num, zeros = (num * f, zeros) if f else (num * i, zeros + 1)
+    for m in multiplicities(mu).values():
+        for j in range(1, m + 1):
+            f = rho.one_minus_rho_pow(j)
+            den, zeros = (den * f, zeros) if f else (den * j, zeros - 1)
+    if zeros < 0:
+        raise SingularCoefficientError(mu, rho)
+    return _cache_put(_C_CACHE, key, num / den if zeros == 0 else rho.field.zero)
 
 
 _C_CACHE = _new_cache()

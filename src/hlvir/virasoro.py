@@ -403,7 +403,6 @@ IDENTITIES = (
 )
 
 _BY_ID = {row.id: row for row in IDENTITIES}
-CASE_IDS = tuple(_BY_ID)
 _GUARD_OPS = {">=": operator.ge, "!=": operator.ne}
 
 

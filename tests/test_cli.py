@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hlvir import cli, selftest, vertex
 from hlvir.exactnum import RhoSpec
 from hlvir.vertex import clear_caches, hl_q, set_cache_enabled
-from hlvir.virasoro import CASE_IDS, IDENTITIES
+from hlvir.virasoro import IDENTITIES
 
 # verify outputs of every CLI case name, recorded from the hand-written
 # handlers that the identity table replaced:
@@ -153,7 +153,6 @@ def test_verify_refuses_an_empty_rho(capsys):
 
 def test_case_names_come_from_the_identity_table():
     assert cli._CASE_NAMES == {row.name: row.id for row in IDENTITIES}
-    assert CASE_IDS == tuple(row.id for row in IDENTITIES)
     assert set(GOLDEN_VERIFY) == set(cli._CASE_NAMES)
 
 
@@ -233,6 +232,21 @@ def test_zero_denominator_rho_is_exit_2(capsys):
     code, out, err = run_cli(capsys, "q", "--rho", "1/0", "--lambda", "1")
     assert code == 2 and out == ""
     assert err == "error: rho '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("text", ["", "pi", "xi:", "xi:abc"])
+def test_unreadable_rho_names_the_accepted_forms(capsys, text):
+    want = (f"error: rho {text!r} is not 'generic', 'xi:<n>' or a rational"
+            " such as 0, -1, 1/2\n")
+    for argv in (["q", "--lambda", "1"], ["verify", "--case", "mult", "--r", "1",
+                                            "--lambda", "1"]):
+        assert run_cli(capsys, *argv, f"--rho={text}") == (2, "", want)
+
+
+@pytest.mark.parametrize("rho", ["generic", "0", "1", "-1", "2", "xi:2", "xi:5"])
+def test_coeff_of_the_empty_partition_is_one(capsys, rho):
+    """c_() = 1 is stated outright: the formula's sign (-1)^(l-1) gives -1."""
+    assert run_cli(capsys, "coeff", "--rho", rho, "--mu", "") == (0, "1\n", "")
 
 
 def test_argparse_usage_exit():

@@ -7,15 +7,15 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlvir import structure
-from hlvir.exactnum import (GENERIC, QQ, RHO_GENERIC, RHO_ZERO, RatFunc,
-                            RhoSpec, UniPoly)
-from hlvir.structure import (SingularCoefficientError, c_coeff,
-                             c_coeff_generic, is_partition, mn_expand,
-                             multiplicities, multiply_p, n_stat, p_expand,
+from hlvir.exactnum import (GENERIC, QQ, RHO_GENERIC, RHO_ZERO, PoleError, RatFunc,
+                            RhoSpec, UniPoly, specialize_at_rational, specialize_at_root)
+from hlvir.structure import (SingularCoefficientError, c_coeff, is_partition,
+                             mn_expand, multiplicities, multiply_p, n_stat, p_expand,
                              partitions, straighten, strip_zeros)
 from hlvir.tring import TPoly, mono_degree
 from hlvir.vertex import QCombination, clear_caches, hl_q, set_cache_enabled
@@ -157,7 +157,7 @@ def test_straighten_at_rho_zero_is_the_generic_one_at_zero():
     for lam in itertools.chain.from_iterable(
             itertools.product(range(-3, 5), repeat=n) for n in range(4)):
         generic = straighten(lam, RHO_GENERIC)
-        want = QCombination.from_terms(QQ, ((mu, RHO_ZERO.specialize(c))
+        want = QCombination.from_terms(QQ, ((mu, specialize_at_rational(c, 0))
                                             for mu, c in generic.terms.items()))
         assert straighten(lam, RHO_ZERO) == want, lam
 
@@ -171,9 +171,9 @@ def test_straighten_output_is_over_positive_partitions():
 # -- expansion coefficients
 
 def test_c_generic_frozen_values():
-    assert c_coeff_generic((1,)) == RatFunc.make(
+    assert c_coeff((1,), RHO_GENERIC) == RatFunc.make(
         UniPoly.constant(-1), UniPoly.from_ints([-1, 1]))
-    assert c_coeff_generic((1, 1, 1)) == RatFunc.make(
+    assert c_coeff((1, 1, 1), RHO_GENERIC) == RatFunc.make(
         UniPoly.constant(-1), UniPoly.from_ints([-1, 0, 0, 1]))
 
 
@@ -199,6 +199,69 @@ def test_c_hooks_at_zero():
     assert c_coeff((3, 1, 1), RHO_ZERO) == 1
     assert c_coeff((2, 1), RHO_ZERO) == -1
     assert c_coeff((2, 2), RHO_ZERO) == 0
+
+
+def _partitions_upto(size: int):
+    return [mu for k in range(size + 1) for mu in partitions(k)]
+
+
+_ORACLE_RHOS = ([RhoSpec.rational(v) for v in (0, 1, -1, 2, Fraction(1, 2))]
+                + [RhoSpec.root(n) for n in range(2, 9)])
+
+
+def test_c_is_the_generic_value_specialized_by_limit():
+    """c_coeff multiplies the factors in rho's own field; the second route
+    takes the generic c_mu to rho by exact limit.  They agree on every value,
+    and c_coeff has a pole exactly where the limit is infinite."""
+    for rho in _ORACLE_RHOS:
+        for mu in _partitions_upto(10):
+            generic = c_coeff(mu, RHO_GENERIC)
+            try:
+                if rho.kind == "rational":
+                    want = specialize_at_rational(generic, rho.value)
+                else:
+                    want = specialize_at_root(generic, rho.order)
+            except PoleError:
+                with pytest.raises(SingularCoefficientError):
+                    c_coeff(mu, rho)
+                continue
+            got = c_coeff(mu, rho)
+            assert type(got) is type(want) and got == want, (mu, rho.to_text())
+
+
+def test_c_generic_matches_sympy_product_formula():
+    """sympy, which shares no code with hlvir, cancels the product formula."""
+    x = sympy.Symbol("x")
+
+    def phi(k: int):
+        return sympy.prod([1 - x ** i for i in range(1, k + 1)])
+
+    def read(p: UniPoly):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+                   for k, c in enumerate(p.coefficients))
+
+    for mu in _partitions_upto(8)[1:]:
+        l = len(mu)
+        b_mu = sympy.prod([phi(m) for m in multiplicities(mu).values()])
+        num, den = sympy.fraction(sympy.cancel(
+            (-1) ** (l - 1) * x ** (n_stat(mu) - l * (l - 1) // 2) * phi(l - 1) / b_mu))
+        got = c_coeff(mu, RHO_GENERIC)
+        assert sympy.expand(read(got.num) * den - read(got.den) * num) == 0, mu
+
+
+def test_c_pole_at_xi_n_exactly_when_n_divides_every_multiplicity():
+    """The README's dichotomy at xi_n: a pole exactly when mu != () and n
+    divides every multiplicity of mu, a finite value otherwise."""
+    for n in range(2, 9):
+        rho = RhoSpec.root(n)
+        for mu in _partitions_upto(10):
+            pole = bool(mu) and all(m % n == 0 for m in multiplicities(mu).values())
+            try:
+                c_coeff(mu, rho)
+            except SingularCoefficientError:
+                assert pole, (mu, n)
+            else:
+                assert not pole, (mu, n)
 
 
 # -- the independent route: expanding a polynomial back into the Q basis
