@@ -18,20 +18,23 @@ are the tests' second route to a value at rho, and the tracer's targets.
 Each field tag owns one scaled-sum kernel, ``lincomb``: the sum of c * terms
 over (c, terms) pairs, normalized once per output key over Q (integers over
 one denominator), Q(xi_n) (packed, folded once) and Q(rho) (packed
-polynomial sums, one RatFunc each).  ``lincomb_den`` returns the same sum
-as (den, values): over Q, integer numerators over one positive denominator
-with their content removed; over the other fields, (1, canonical values).
+polynomial sums, one RatFunc each).  Each also owns the row kernel of the
+B table in ``vertex``: ``row_sum`` sums scaled rows (``rhopoly.Row``) into
+a row, and ``row_lincomb`` into canonical values.  Over Q and Q(xi_n) a
+row is packed integers over one denominator with its content unreduced,
+summed by rhopoly's ``_row_sum``; over Q(rho) it holds canonical values
+and the row kernel is ``lincomb``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Union
 
-from .rhopoly import (FieldMismatchError, UniPoly, _fr, _UP_ONE, _UP_ZERO, _up_add,
-                      _up_fold, _up_lincomb, _up_mul, _up_scale, signed_join)
+from .rhopoly import (FieldMismatchError, Row, UniPoly, _fr, _row_lincomb, _row_sum, _UP_ONE,
+                      _UP_ZERO, _up_add, _up_fold, _up_lincomb, _up_mul, _up_scale, signed_join)
 
 
 class PoleError(ArithmeticError):
@@ -436,12 +439,6 @@ def specialize_at_rational(f: Union[RatFunc, UniPoly], r: Union[int, Fraction]) 
 # coefficient fields (tags shared by polynomials, operators, combinations)
 
 
-def _lincomb_den(tag, pairs: list) -> tuple:
-    """``lincomb`` in the two-value form of ``RationalField.lincomb_den``:
-    (1, canonical values)."""
-    return 1, tag.lincomb(pairs)
-
-
 def _rescale(acc: dict, den: int, d: int) -> int:
     """Grow the common denominator den of the integer sums in acc to
     lcm(den, d), rescaling them in place; return the new one."""
@@ -465,43 +462,40 @@ class RationalField:
         return _fr(c)
 
     @staticmethod
-    def lincomb_den(pairs: list) -> tuple:
+    def lincomb(pairs: list) -> dict:
         """The scaled-sum kernel: {key: sum of c * terms[key]} over a list of
         (c, terms) pairs, each c a rational or a value of the field and each
-        terms a dict of nonzero values, with zero sums dropped, returned as
-        (den, numerators).  Over Q a terms dict holds Fractions, or ints
-        alone (the numerators of a B-table entry, whose denominator the
-        caller folds into c).  A product is an integer numerator over L, the
-        lcm of the denominators so far; a dict of ints is scaled by one
-        factor.  The sums' content is divided out once at the end, so
-        den > 0 and gcd(den, *numerators) = 1."""
+        terms a dict of nonzero values, with zero sums dropped, as canonical
+        values of the field, one Fraction per key over Q.  A product is an
+        integer numerator over L, the lcm of the denominators so far, and
+        each sum becomes one Fraction at the end."""
         acc, den = {}, 1
         get = acc.get
         for c, terms in pairs:
-            if not c or not terms:
+            if not c:
                 continue
             cn, cd = c.numerator, c.denominator
-            if type(next(iter(terms.values()))) is int:
-                if den % cd:
-                    den = _rescale(acc, den, cd)
-                f = cn * (den // cd)
-                for key, a in terms.items():
-                    acc[key] = get(key, 0) + f * a
-                continue
             for key, a in terms.items():
                 d = cd * a.denominator
                 if den % d:
                     den = _rescale(acc, den, d)
                 acc[key] = get(key, 0) + cn * a.numerator * (den // d)
-        g = gcd(den, *acc.values())
-        return den // g, {key: v // g for key, v in acc.items() if v}
+        return {key: Fraction(v, den) for key, v in acc.items() if v}
+
+    row_one = Row(1, 0, 1, {(): 1})
 
     @staticmethod
-    def lincomb(pairs: list) -> dict:
-        """``lincomb_den``'s sums as canonical values, one Fraction per key
-        (every field's ``lincomb`` returns canonical values)."""
-        den, acc = RationalField.lincomb_den(pairs)
-        return {key: Fraction(v, den) for key, v in acc.items()}
+    def row_sum(pairs: list) -> Row:
+        """The row of the sum of c * row over (c, row, keys) pairs, each c
+        a rational and keys None or the keys to file the row's values under
+        (``rhopoly._row_sum``): integer numerators over one denominator."""
+        return _row_sum(pairs, 1, ())
+
+    @staticmethod
+    def row_lincomb(pairs: list) -> dict:
+        """``row_sum``'s sums as canonical values, one Fraction per key."""
+        row = _row_sum(pairs, 1, ())
+        return {key: Fraction(v, row.den) for key, v in row.terms.items()}
 
     @staticmethod
     def value_text(v: Fraction) -> str:
@@ -558,7 +552,7 @@ class CyclotomicFieldTag:
         return Cyclotomic.constant(self.order, c)
 
     def lincomb(self, pairs: list) -> dict:
-        """The scaled-sum kernel (see ``RationalField.lincomb_den``) over
+        """The scaled-sum kernel (see ``RationalField.lincomb``) over
         Q(xi_n): rhopoly's ``_up_lincomb`` adds the packed products of the
         polys and folds each sum mod Phi_n, with its content reduced, once."""
         if len(pairs) == 1 and pairs[0][0] == 1:  # nothing to multiply or add
@@ -569,7 +563,22 @@ class CyclotomicFieldTag:
         order = self.order
         return {key: Cyclotomic(order, v) for key, v in sums.items()}
 
-    lincomb_den = _lincomb_den
+    row_one = RationalField.row_one
+
+    def _row_pairs(self, pairs):
+        return ((c.poly if type(c) is Cyclotomic else c, row, keys) for c, row, keys in pairs)
+
+    def row_sum(self, pairs: list) -> Row:
+        """``RationalField.row_sum`` over Q(xi_n), each c a rational or a
+        value of the field: packed integer polynomials over one
+        denominator, folded mod Phi_n only when some c was not rational."""
+        return _row_sum(self._row_pairs(pairs), self.phi, self.rows)
+
+    def row_lincomb(self, pairs: list) -> dict:
+        """``row_sum``'s sums as canonical values, each folded once."""
+        order = self.order
+        return {key: Cyclotomic(order, v) for key, v in
+                _row_lincomb(self._row_pairs(pairs), self.phi, self.rows).items()}
 
     @staticmethod
     def value_text(v: Cyclotomic) -> str:
@@ -606,7 +615,7 @@ class GenericField:
 
     @staticmethod
     def lincomb(pairs: list) -> dict:
-        """The scaled-sum kernel (see ``RationalField.lincomb_den``) over Q(rho).
+        """The scaled-sum kernel (see ``RationalField.lincomb``) over Q(rho).
         A product of a polynomial value by a polynomial or rational c is one
         packed UniPoly multiply (none when c = 1 or c = -1), added into its
         key's UniPoly sum, and each sum becomes one RatFunc at the end, its
@@ -636,7 +645,19 @@ class GenericField:
                 sums[key] = (p if sign > 0 else -p) if cur is None else _up_add(cur, p, sign)
         return _accumulate({key: RatFunc(p, _UP_ONE) for key, p in sums.items() if p}, rest)
 
-    lincomb_den = _lincomb_den
+    row_one = Row(1, 0, 0, {(): one})
+
+    @staticmethod
+    def row_sum(pairs: list) -> Row:
+        """``RationalField.row_sum`` over Q(rho), whose rows hold canonical
+        values over den 1: one ``lincomb``."""
+        return Row(1, 0, 0, GenericField.lincomb(
+            [(c, row.terms if keys is None else dict(zip(keys, row.terms.values())))
+             for c, row, keys in pairs]))
+
+    @staticmethod
+    def row_lincomb(pairs: list) -> dict:
+        return GenericField.lincomb([(c, row.terms) for c, row, _ in pairs])
 
     @staticmethod
     def value_text(v: RatFunc) -> str:

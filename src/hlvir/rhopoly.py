@@ -5,7 +5,8 @@ A rho-polynomial (``UniPoly``, and so both halves of ``exactnum``'s
 Kronecker substitution rho -> 2^B; its arithmetic is big-int arithmetic,
 and its coefficient vector is unpacked only where text, a hash, division or
 a specialization needs it (see ``UniPoly``).  This module alone knows that
-format.  ``exactnum`` builds Q(rho) and Q(xi_n) on the kernels here (a
+format, and the packed integer rows (``Row``) of the B table over Q and
+Q(xi_n).  ``exactnum`` builds Q(rho) and Q(xi_n) on the kernels here (a
 Q(xi_n) value is a UniPoly of degree < phi(n), reduced mod Phi_n by
 ``_up_fold``) and re-exports what other modules use from here.
 """
@@ -472,27 +473,39 @@ def _up_fold(a: UniPoly, d: int, rows) -> UniPoly:
     return _folded(a._p, a._B, a._den, d, rows)
 
 
-def _folded(p: int, width: int, den: int, d: int, rows) -> UniPoly:
-    """p / den, packed at width, folded as in ``_up_fold``.  The content g
-    divides every digit, so a packed int divides by g exactly."""
+def _fold_digits(p: int, width: int, d: int, rows) -> list[int]:
+    """The integer digits of p, packed at width, reduced mod M as in
+    ``_up_fold``, lowest first; fewer than d when p's degree is below d - 1."""
     cs = _unpack(p, width)
     out = cs[:d]
     for c, row in zip(cs[d:], rows):
         if c:
             out = [x + c * r for x, r in zip(out, row)]
+    return out
+
+
+def _folded(p: int, width: int, den: int, d: int, rows) -> UniPoly:
+    """p / den, packed at width, folded as in ``_up_fold``.  The content g
+    divides every digit, so a packed int divides by g exactly."""
+    out = _fold_digits(p, width, d, rows)
     g = gcd(den, *out)  # den itself when every digit is 0
     bound = sum(map(abs, out)) // g
     fit = _width(bound)
-    if len(cs) > d or fit != width:  # folded, or narrower: pack the digits anew
+    if fit != width or p.bit_length() >= d * width:  # narrower, or folded: pack anew
         p, width = _pack(out, fit), fit
     return UniPoly(p // g, den // g, width, bound)
+
+
+def _sums_bound(acc: dict, width: int) -> int:
+    """The exact bound of the packed sums in acc, read at width."""
+    return max((sum(map(abs, _unpack(p, width))) for p in acc.values()), default=0)
 
 
 def _fit_sums(acc: dict, width: int, top: int, scale: int = 1) -> tuple[int, int]:
     """The exact bound of the packed sums in acc, read at width, and a width
     that holds (bound + top) * scale twice over (so that the next call is
     not one product away), to which the sums are repacked if it is wider."""
-    bound = max((sum(map(abs, _unpack(p, width))) for p in acc.values()), default=0)
+    bound = _sums_bound(acc, width)
     need = 2 * (bound + top) * scale
     if need.bit_length() >= width:
         wide = _width(need)
@@ -544,6 +557,132 @@ def _up_lincomb(pairs, d: int, rows) -> dict:
                 a = w
             acc[key] = get(key, 0) + cp * a._p * f
         bound += top
+    return {key: v for key, p in acc.items() if (v := _folded(p, width, den, d, rows))}
+
+
+# Rows: the B table's packed integer form (see ``Row``).
+
+
+class Row:
+    """One row of the B table over Q or Q(xi_n): ``terms[key] / den`` for
+    each key, each int an integer polynomial packed at ``width`` as in
+    ``UniPoly`` (the |coefficient| sum of each at most ``bound``, and
+    ``bound < 2^(width-1)``), or at width 0 a plain integer, a constant,
+    whose int reads the same at every width that holds it.  The content
+    gcd(den, ints) is left unreduced.  A row is summed only by
+    ``_row_sums``, which meets a row of another width through its copy at
+    the width of the last wider sums it met, kept in ``_wide`` as
+    ``UniPoly._wide`` is.  Over Q(rho) a row is only a holder of canonical
+    values (den 1, width 0), summed by that field's ``lincomb``."""
+
+    __slots__ = ("den", "width", "bound", "terms", "_wide")
+
+    def __init__(self, den: int, width: int, bound: int, terms: dict):
+        self.den = den
+        self.width = width
+        self.bound = bound
+        self.terms = terms
+        self._wide = None
+
+    def _at(self, width: int) -> "Row":
+        """The same row packed at ``width``, which must hold its bound."""
+        if width == self.width or not self.width:
+            return self
+        wide = self._wide
+        if wide is None or wide.width != width:
+            old = self.width
+            wide = self._wide = Row(self.den, width, self.bound,
+                                    {k: _pack(_unpack(v, old), width)
+                                     for k, v in self.terms.items()})
+        return wide
+
+
+ROW_ZERO = Row(1, 0, 0, {})
+
+
+def _row_sums(pairs) -> tuple:
+    """(den, width, bound, sums, product) for the sums of c * row over
+    (c, row, keys) pairs, each c a UniPoly or a rational and keys None (the
+    row's own keys) or the keys to file the row's values under, in order:
+    integer sums over one denominator, packed at one width (0 while every
+    operand is a plain integer), each |coefficient| sum at most bound;
+    product says whether some c was not a constant, so that a sum may have
+    reached degree phi.  Each pair takes one denominator check and one
+    width check: the sums are first widened to hold the pair's products
+    and then rescaled to the new denominator, in that order, since a
+    rescaled sum no longer reads at the old width."""
+    acc: dict = {}
+    get = acc.get
+    den, width, bound = 1, 0, 0
+    product = False
+    for c, row, keys in pairs:
+        if not row.terms:
+            continue
+        if type(c) is UniPoly:
+            cp, cd, cn, cw = c._p, c._den, c._N, c._B
+            if cp.bit_length() < cw:  # a constant reads the same at every width
+                cw = 0
+        else:
+            cp, cd, cn, cw = c.numerator, c.denominator, abs(c.numerator), 0
+        pd = cd * row.den
+        s = 1 if den % pd == 0 else lcm(den, pd) // den
+        f = den * s // pd
+        top = cn * row.bound * f
+        w = max(width, cw, row.width)
+        if w and (bound * s + top).bit_length() >= w:
+            if width:  # make the sums' bound exact before widening them
+                bound = _sums_bound(acc, width)
+            need = 2 * (bound * s + top)
+            if need.bit_length() >= w:
+                w = _width(need)
+        if width and w != width:
+            for k, p in acc.items():
+                acc[k] = _pack(_unpack(p, width), w)
+        width = w
+        if s != 1:
+            den, bound = den * s, bound * s
+            for k in acc:
+                acc[k] *= s
+        bound += top
+        if cw:
+            product = True
+            if cw != width:
+                cp = c._at(width)._p
+        if row.width != width:
+            row = row._at(width)
+        g = cp * f
+        values = row.terms.values()
+        if not acc:  # the first pair's products are the sums
+            acc.update(zip(row.terms if keys is None else keys,
+                           values if g == 1 else [g * v for v in values]))
+            continue
+        for key, v in (row.terms.items() if keys is None else zip(keys, values)):
+            acc[key] = get(key, 0) + g * v
+    return den, width, bound, acc, product
+
+
+def _row_sum(pairs, d: int, rows) -> Row:
+    """``_row_sums`` as a row, each sum reduced mod M (as in ``_up_fold``)
+    when some c was not a constant, with its content left unreduced."""
+    den, width, bound, acc, product = _row_sums(pairs)
+    if not product:
+        return Row(den, width, bound, {k: p for k, p in acc.items() if p})
+    out = {k: v for k, p in acc.items() if any(v := _fold_digits(p, width, d, rows))}
+    bound = max((sum(map(abs, v)) for v in out.values()), default=0)
+    width = _width(bound)
+    return Row(den, width, bound, {k: _pack(v, width) for k, v in out.items()})
+
+
+def _row_lincomb(pairs, d: int, rows) -> dict:
+    """{key: UniPoly} for ``_row_sums``, zero sums dropped.  A sum that some
+    c of nonzero degree reached is reduced mod M, its content reduced
+    (``_folded``); any other is already of degree < d, and is taken as it
+    is, over the sums' denominator and bound (content is left unreduced,
+    as a UniPoly product leaves it)."""
+    den, width, bound, acc, product = _row_sums(pairs)
+    width = width or _width(bound)
+    if not product:
+        return {key: UniPoly(p, den, width, bound) for key, p in acc.items() if p}
     return {key: v for key, p in acc.items() if (v := _folded(p, width, den, d, rows))}
 
 

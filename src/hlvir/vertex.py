@@ -15,19 +15,21 @@ j E_j = sum_k k (1 - rho^k) t_k E_{j-k}, this builds B_m on a monomial
 from entries one factor shorter: each entry is one shift by t_k of another
 plus a -1/k multiple of a third, and E_j (the entry of the monomial 1) is
 a sum of shifts of E_0 .. E_{j-1}.  One loop on an explicit stack builds
-every entry a call meets once (``_apply_b_mono``).  Each entry, B_m f as a
-sum over the monomials of f (or a sum of scaled B_m f over several m and
-f, ``apply_B_sum``), and the expansion of a combination of Q's are each
-one call of the field's scaled-sum kernel (``lincomb`` in ``exactnum``).
+every entry a call meets once (``_apply_b_mono``).  Each entry and B_m f
+as a sum over the monomials of f (or a sum of scaled B_m f over several m
+and f, ``apply_B_sum``) are each one call of the field's row kernel
+(``row_sum``, ``row_lincomb``), and the expansion of a combination of Q's
+one call of its scaled-sum kernel (``lincomb`` in ``exactnum``).
 
-The B table holds each entry B_m t^mu (E_m among them) in the kernel's
-two-value form (den, {mono: value}) of ``lincomb_den``: over Q, integer
-numerators over one positive denominator with their content removed, so
-a step is integer work; over the other fields, den = 1 and canonical
-values.  ``apply_B_sum`` folds an entry's den into the scalar of its pair,
-and every value that leaves this module (``one_row``, ``apply_B``,
-``hl_q``, ``QCombination.evaluate``) is canonical, a Fraction over Q.
-Everything here is exact over Q, Q(rho), or a cyclotomic field.
+The B table holds each entry B_m t^mu (E_m among them) as a row of the
+field (``Row`` in ``rhopoly``): over Q and Q(xi_n), integers over one
+denominator, packed, with their content left unreduced, so that a step is
+integer multiply-adds; over Q(rho), canonical values over den 1.  This
+module reads a row only for its keys, which a step shifts by t_k.  Every
+value that leaves it (``one_row``, ``apply_B``, ``hl_q``,
+``QCombination.evaluate``) is canonical: a Fraction over Q, a Cyclotomic
+reduced mod Phi_n over Q(xi_n).  Everything here is exact over Q, Q(rho),
+or a cyclotomic field.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exactnum import FieldMismatchError, RhoSpec
+from .rhopoly import ROW_ZERO
 from .tring import (DegeneratePairingError, Mono, Sparse, TPoly, _embed, mono_degree,
                     mono_mul_var)
 
@@ -66,7 +69,7 @@ def _new_cache() -> OrderedDict:
     return cache
 
 
-_B_CACHE = _new_cache()  # entry of B_m t^mu by (rho, m, mu); E_m = B_m 1 is (rho, m, ())
+_B_CACHE = _new_cache()  # row of B_m t^mu by (rho, m, mu); E_m = B_m 1 is (rho, m, ())
 _Q_CACHE = _new_cache()
 
 
@@ -107,22 +110,10 @@ def _cache_put(cache: OrderedDict, key, value):
 
 
 # ---------------------------------------------------------------------------
-# entries of the B table
-
-_ZERO_ENTRY = (1, {})
-
-
-def _over(c, den: int):
-    """c / den for the denominator of a table entry: c itself when den = 1
-    (always, outside Q), else one Fraction."""
-    return c if den == 1 else Fraction(c.numerator, c.denominator * den)
-
-
-# ---------------------------------------------------------------------------
 # row operators on monomials
 
-def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> tuple:
-    """The entry of B_m t^mono, by the commutation relation in the module
+def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict):
+    """The row of B_m t^mono, by the commutation relation in the module
     docstring, peeling the largest t_k first, so shorter entries keep the
     small indices that many monomials share; on mono = () it is E_m, from
     j*E_j = sum_{k=1}^{j} k (1 - rho^k) t_k E_{j-k}.  A loop: each entry
@@ -138,16 +129,16 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> tuple:
         key = (rho_key, j, mu)
         out = _B_CACHE.get(key)
         if out is None and j + mono_degree(mu) < 0:
-            out = _ZERO_ENTRY
+            out = ROW_ZERO
         elif out is None and not mu:
             need = [(j - k, ()) for k in range(1, j + 1) if (j - k, ()) not in done]
             if need:
                 todo += [entry] + need
                 continue
-            pairs = [(_over(f * Fraction(k, j), done[j - k, ()][0]),
-                      {mono_mul_var(mo, k): a for mo, a in done[j - k, ()][1].items()})
-                     for k in range(1, j + 1) if (f := rho.one_minus_rho_pow(k))]
-            out = _cache_put(_B_CACHE, key, field.lincomb_den(pairs if j else [(1, {(): field.one})]))
+            pairs = [(f * Fraction(k, j), row, [mono_mul_var(mo, k) for mo in row.terms])
+                     for k in range(1, j + 1) if (f := rho.one_minus_rho_pow(k))
+                     for row in (done[j - k, ()],)]
+            out = _cache_put(_B_CACHE, key, field.row_sum(pairs) if j else field.row_one)
         elif out is None:
             k, e = mu[-1]
             nu = mu[:-1] + ((k, e - 1),) if e > 1 else mu[:-1]
@@ -155,20 +146,19 @@ def _apply_b_mono(rho: RhoSpec, m: int, mono: Mono, done: dict) -> tuple:
             if need:
                 todo += [entry] + need
                 continue
-            (d1, t1), (d2, t2) = done[j, nu], done[j + k, nu]
-            shifted = {mono_mul_var(mo, k): c for mo, c in t1.items()}
-            out = _cache_put(_B_CACHE, key, field.lincomb_den(
-                [(_over(1, d1), shifted), (Fraction(-1, k * d2), t2)]))
+            row = done[j, nu]
+            out = _cache_put(_B_CACHE, key, field.row_sum(
+                [(1, row, [mono_mul_var(mo, k) for mo in row.terms]),
+                 (Fraction(-1, k), done[j + k, nu], None)]))
         done[entry] = out
     return done[m, mono]
 
 
 def apply_B_sum(rho: RhoSpec, parts: Iterable[tuple]) -> TPoly:
     """sum of s * B_m f over the (s, m, f) parts, each s a rational or a value
-    of rho's field, as one call of the field's scaled-sum kernel: each
-    monomial c t^mu of each f is one pair (c*s over the entry's
-    denominator, the entry of B_m t^mu).  A part with s = 0 or f = 0 adds
-    nothing."""
+    of rho's field, as one call of the field's row kernel: each monomial
+    c t^mu of each f is one pair (c*s, the row of B_m t^mu).  A part with
+    s = 0 or f = 0 adds nothing."""
     field, rho_key = rho.field, rho.key
     done: dict = {}
     pairs = []
@@ -178,14 +168,10 @@ def apply_B_sum(rho: RhoSpec, parts: Iterable[tuple]) -> TPoly:
         if s:
             one = s == 1
             for mono, c in f.terms.items():
-                den, terms = (_B_CACHE.get((rho_key, m, mono))  # most entries are cached
-                              or _apply_b_mono(rho, m, mono, done))
-                if den != 1:  # over Q: c * s / den as one Fraction
-                    c = Fraction(c.numerator * s.numerator, c.denominator * s.denominator * den)
-                elif not one:
-                    c = c * s
-                pairs.append((c, terms))
-    return TPoly(field, field.lincomb(pairs))
+                pairs.append((c if one else c * s,
+                              _B_CACHE.get((rho_key, m, mono))  # most rows are cached
+                              or _apply_b_mono(rho, m, mono, done), None))
+    return TPoly(field, field.row_lincomb(pairs))
 
 
 def apply_B(m: int, f: TPoly, rho: RhoSpec) -> TPoly:

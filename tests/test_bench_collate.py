@@ -55,8 +55,8 @@ def test_collate_two_sides(tmp_path, monkeypatch):
     assert swept == [(body, side) for body in tool.SWEEPS.values()
                      for _ in range(tool.REPEATS) for side in ("parent", "change")]
     assert set(record["sides"]["change"]["sweeps"]) == set(tool.SWEEPS)
-    assert {"exchange_rational", "c11_rational", "t1_2_xi5", "t1_2_xi7",
-            "cold_import"} <= set(tool.SWEEPS)
+    assert {"exchange_rational", "c11_rational", "operators_roots", "b_roots", "t1_2_xi5",
+            "t1_2_xi7", "cold_import"} <= set(tool.SWEEPS)
     # five runs a side: three cannot resolve a 10% change in a sweep
     assert tool.REPEATS == 5
     first = record["sides"]["change"]["sweeps"]["c7_generic_sweep"]
@@ -171,3 +171,28 @@ def test_operators_roots_sweep_runs_the_operator_grids_at_xi_2_and_xi_3(monkeypa
                                    for case_id in want)
     assert _cases_by_id(seen) == {case_id: {None} for case_id in want}
     assert {case.params["n"] for case in seen} == {2, 3}
+
+
+def test_b_roots_sweep_applies_every_row_operator_from_cold(monkeypatch):
+    """The b_roots body, run with stand-ins for apply_B and clear_caches:
+    B_m on each monomial of degree at most 8 (67 of them) for m = -3..4, at
+    xi_3, xi_5, xi_7 and rho = 2, the caches emptied before each field."""
+    from hlvir import vertex
+    from hlvir.structure import partitions
+
+    tool = _load_tool()
+    seen = []
+    monkeypatch.setattr(vertex, "apply_B", lambda m, f, rho: seen.append((rho.to_text(), m, f)))
+    monkeypatch.setattr(vertex, "clear_caches", lambda: seen.append("clear"))
+    scope = {"clock": lambda: 0.0}
+    exec(tool.SWEEPS["b_roots"], scope)
+    monos = sum(len(partitions(size)) for size in range(9))
+    assert monos == 67 and (scope["cases"], scope["failed"]) == (4 * 8 * monos, 0)
+    calls = [x for x in seen if x != "clear"]
+    assert seen[0] == "clear" and seen.count("clear") == 4
+    assert [rho for rho, _, _ in calls[::8 * monos]] == ["xi:3", "xi:5", "xi:7", "2"]
+    assert {m for _, m, _ in calls} == set(range(-3, 5))
+    for _, _, f in calls:
+        (mono, c), = f.terms.items()
+        assert c == 1
+    assert len({(rho, m, next(iter(f.terms))) for rho, m, f in calls}) == len(calls)

@@ -4,15 +4,16 @@ expanded exponential generating function."""
 
 from collections import OrderedDict
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlvir import vertex
-from hlvir.exactnum import (QQ, RHO_GENERIC, RHO_ZERO, RhoSpec,
+from hlvir.exactnum import (GENERIC, QQ, RHO_GENERIC, RHO_ZERO, Cyclotomic, RhoSpec,
                             specialize_at_rational, specialize_at_root)
+from hlvir.rhopoly import Row, _unpack
 from hlvir.structure import partitions
 from hlvir.tring import TPoly, inner_product, mono_degree, mono_from_exponents
 from hlvir.vertex import (AdjointUndefinedError, QCombination, _apply_b_mono,
@@ -81,16 +82,26 @@ def _lower_coeffs(f):
     return g
 
 
-def _entry_poly(field, entry):
-    """den^-1 times the numerators of a B-table entry, as a polynomial; over
-    Q the entry's numerators are ints with no content left over den > 0."""
-    den, terms = entry
+def _entry_poly(field, row):
+    """A B-table row as a polynomial.  Over Q and Q(xi_n) the row holds ints
+    over den > 0: numerators over Q, and over Q(xi_n) integer polynomials
+    of degree < phi(n) packed at the row's width (plain ints at width 0),
+    each |coefficient| sum within the row's bound, which its width holds.
+    Over Q(rho) it holds canonical values over den 1."""
+    if field is GENERIC:
+        assert row.den == 1
+        return TPoly(field, dict(row.terms))
+    assert type(row.den) is int and row.den > 0
+    assert all(type(v) is int and v for v in row.terms.values())
     if field is QQ:
-        assert den > 0 and all(type(v) is int for v in terms.values())
-        assert gcd(den, *terms.values()) == 1
-    else:
-        assert den == 1
-    return TPoly(field, {mo: v * Fraction(1, den) for mo, v in terms.items()})
+        return TPoly(field, {mo: Fraction(v, row.den) for mo, v in row.terms.items()})
+    assert row.width == 0 or row.bound.bit_length() < row.width
+    out = {}
+    for mo, v in row.terms.items():
+        digits = _unpack(v, row.width) if row.width else [v]
+        assert len(digits) <= field.phi and sum(map(abs, digits)) <= row.bound
+        out[mo] = Cyclotomic.make(field.order, [Fraction(c, row.den) for c in digits])
+    return TPoly(field, out)
 
 
 @pytest.mark.parametrize("cached", [True, False])
@@ -121,18 +132,89 @@ def test_b_on_monomials_matches_derivative_route(rho, max_degree, cached):
         set_cache_enabled(True)
 
 
-def _count_kernel_calls(monkeypatch) -> list:
-    """The number of pairs of each QQ.lincomb_den call from now on: one call
-    builds one B-table entry."""
-    calls = []
-    lincomb = QQ.lincomb_den
+def _b_by_derivatives(rho, m, f):
+    """B_m f as the sum over the monomials c t^mu of f of c * sum_j
+    E_{m+j} g_j, with g_j from the derivatives (``_lower_coeffs``)."""
+    field = rho.field
+    out = TPoly.zero(field)
+    for mono, c in f.terms.items():
+        g = _lower_coeffs(TPoly(field, {mono: field.one}))
+        for j, gj in enumerate(g):
+            if m + j >= 0 and gj:
+                out = out + (one_row(m + j, rho) * gj).scale(c)
+    return out
 
-    def counted(pairs):
-        calls.append(len(pairs))
-        return lincomb(pairs)
 
-    monkeypatch.setattr(QQ, "lincomb_den", counted)
-    return calls
+# the first coefficient leaves the sums within 64-bit digits, and the second
+# brings a denominator no row has, 2^20 times the last: its pair must both
+# widen the sums and rescale them to the new denominator
+_WIDE_TERMS = {((1, 2),): 2 ** 40, ((1, 1), (2, 1)): Fraction(1, 1_000_003),
+               ((3, 1),): Fraction(-5, 7)}
+
+
+@pytest.mark.parametrize("rho", [RhoSpec.root(3), RhoSpec.root(7),
+                                 RhoSpec.rational(Fraction(1, 2))])
+def test_b_sum_widens_its_sums_before_it_rescales_them(rho):
+    """apply_B_sum on a polynomial whose pairs force a wider width and a new
+    denominator in one step equals the derivative route, from cold tables
+    and from warm ones (whose rows then hold their wide copies).  Rescaled
+    first, a sum no longer reads at its old width, and widening it then
+    corrupts its digits."""
+    field = rho.field
+    z = rho.rho_pow(1)
+    f = TPoly(field, {mono: z * c for mono, c in _WIDE_TERMS.items()})
+    parts = ((1, 2, f), (Fraction(-1, 3), -1, f), (z, 0, f))
+    clear_caches()
+    try:
+        want = (_b_by_derivatives(rho, 2, f) - _b_by_derivatives(rho, -1, f).scale(Fraction(1, 3))
+                + _b_by_derivatives(rho, 0, f).scale(z))
+        assert want
+        for cold in (True, False, False):
+            if cold:
+                clear_caches()
+            assert apply_B_sum(rho, parts) == want
+            assert apply_B_sum(rho, parts[::-1]) == want
+    finally:
+        clear_caches()
+
+
+def test_b_sum_keeps_a_rows_wide_copy_on_the_row(monkeypatch):
+    """A row met by sums wider than itself is repacked once, and the copy is
+    kept on the row: later wide sums meet the same copy, as UniPoly._wide."""
+    rho = RhoSpec.root(7)
+    field = rho.field
+    # sums of 64-bit rows that need 128 bits from the first pair on
+    f = TPoly(field, {mono: field.from_fraction(2 ** 62) for mono in _WIDE_TERMS})
+    clear_caches()
+    try:
+        want = apply_B(2, f, rho)
+        rows = [vertex._B_CACHE[rho.key, 2, mono] for mono in f.terms]
+        copies = [row._wide for row in rows]
+        assert all(copy is not None and copy.width > row.width for row, copy in zip(rows, copies))
+        made = []
+        init = Row.__init__
+        monkeypatch.setattr(Row, "__init__", lambda row, *args: made.append(row) or init(row, *args))
+        for _ in range(3):
+            assert apply_B(2, f, rho) == want
+        assert made == []  # no row, and so no copy, was made again
+        assert all(row._wide is copy for row, copy in zip(rows, copies))
+    finally:
+        clear_caches()
+
+
+def _count_entry_builds(monkeypatch) -> list:
+    """The keys of the B-table rows built from now on, one per build, cached
+    or not: every row built goes through ``_cache_put``."""
+    builds = []
+    put = vertex._cache_put
+
+    def counted(cache, key, value):
+        if cache is vertex._B_CACHE:
+            builds.append(key)
+        return put(cache, key, value)
+
+    monkeypatch.setattr(vertex, "_cache_put", counted)
+    return builds
 
 
 def test_b_on_monomials_without_cache_builds_each_entry_once(monkeypatch):
@@ -141,7 +223,7 @@ def test_b_on_monomials_without_cache_builds_each_entry_once(monkeypatch):
     # without a per-call memo would reach them 2^10 times
     mono = ((1, 10),)
     clear_caches()
-    calls = _count_kernel_calls(monkeypatch)
+    calls = _count_entry_builds(monkeypatch)
     want = _apply_b_mono(RHO_ZERO, 0, mono, {})
     assert len(calls) == len(vertex._B_CACHE) == 66
     calls.clear()
@@ -151,7 +233,7 @@ def test_b_on_monomials_without_cache_builds_each_entry_once(monkeypatch):
     finally:
         set_cache_enabled(True)
     assert len(calls) == 66
-    assert got == want
+    assert _entry_poly(QQ, got) == _entry_poly(QQ, want)
 
 
 def test_b_on_a_polynomial_without_cache_shares_entries(monkeypatch):
@@ -160,7 +242,7 @@ def test_b_on_a_polynomial_without_cache_shares_entries(monkeypatch):
     # each entry it reaches once, as it does from cold caches
     label = (4, 3, 2, 2, 1)
     suffixes = [hl_q(label[j + 1:], RHO_ZERO) for j in range(len(label))]
-    calls = _count_kernel_calls(monkeypatch)
+    calls = _count_entry_builds(monkeypatch)
     per_step = 0
     for a, f in zip(label, suffixes):
         clear_caches()
@@ -398,34 +480,37 @@ def test_cache_toggle_preserves_results():
 
 
 def test_one_row_without_cache_builds_each_row_once(monkeypatch):
-    # E_j is one field sum of a term per k <= j, so E_1..E_20 take 20 sums
-    # of 210 terms in all, after one sum of one term for E_0's entry
-    calls = []
-    lincomb = QQ.lincomb_den
+    # E_j is one row sum of a term per k <= j, so E_1..E_20 take 20 sums of
+    # 210 terms in all, after E_0, the field's constant row 1: 21 rows built
+    sums = []
+    row_sum = QQ.row_sum
 
     def counted(pairs):
-        calls.append(len(pairs))
-        return lincomb(pairs)
+        sums.append(len(pairs))
+        return row_sum(pairs)
 
     clear_caches()
     want = one_row(20, RHO_ZERO)
     clear_caches()
-    monkeypatch.setattr(QQ, "lincomb_den", counted)
+    builds = _count_entry_builds(monkeypatch)
+    monkeypatch.setattr(QQ, "row_sum", counted)
     set_cache_enabled(False)
     try:
         got = one_row(20, RHO_ZERO)
     finally:
         set_cache_enabled(True)
-    assert len(calls) == 21 and sum(calls) == 211
+    assert builds == [(RHO_ZERO.key, j, ()) for j in range(21)]
+    assert len(sums) == 20 and sum(sums) == 210
     assert got == want
 
 
 @pytest.mark.parametrize("rho", [RHO_ZERO, RhoSpec.rational(2), RhoSpec.rational(Fraction(1, 2))])
 def test_b_table_holds_ints_and_results_hold_fractions(rho):
-    """Over Q every B-table entry is (den, {mono: int}), and every value read
-    out of the table is a Fraction: one_row, apply_B (at rho = 0 and 2,
-    B_1 1 = E_1 is the kernel's single pair with c = 1 and den = 1), hl_q
-    and QCombination.evaluate."""
+    """Over Q every B-table row holds ints over a positive den (their
+    content left unreduced), and every value read out of the table is a
+    Fraction: one_row, apply_B (at rho = 0 and 2, B_1 1 = E_1 is the
+    kernel's single pair with c = 1 and den = 1), hl_q and
+    QCombination.evaluate."""
     clear_caches()
     try:
         results = [one_row(i, rho) for i in range(-1, 6)]
@@ -439,9 +524,9 @@ def test_b_table_holds_ints_and_results_hold_fractions(rho):
         assert all(type(v) is Fraction for r in results for v in r.terms.values())
         entries = list(vertex._B_CACHE.values())
         assert len(entries) > 30
-        for den, terms in entries:
-            assert type(den) is int and den > 0
-            assert all(type(v) is int for v in terms.values())
+        for row in entries:
+            assert type(row.den) is int and row.den > 0
+            assert all(type(v) is int for v in row.terms.values())
     finally:
         clear_caches()
 

@@ -19,7 +19,9 @@ rho; criterion 11's ``Exchange`` grid at generic rho and at rho = 2, and its
 sweeps over Q alone (``Lemma32`` at rho = 0, ``LemmaA1`` and ``CorA2``);
 the operator sweeps at xi_2 and xi_3 (criterion 4's ``Bracket`` grid and
 criterion 11's ``Prop33`` and ``CorLtilde``), where operator application
-is the largest cost;
+is the largest cost; the row operators B_m, m = -3..4, on every monomial
+of degree at most 8, each field from cold, at xi_3, xi_5, xi_7 and rho = 2
+(``b_roots``, which times the B table's fill through the public API);
 ``T1.2`` with m = 1 on every partition of size at most 6 at xi_5 and at
 xi_7, fields with phi(n) = 4 and 6; and ``import hlvir.cli`` itself, the
 cold start every hlvir process pays (the child imports nothing else first).
@@ -95,6 +97,25 @@ cases = len(labels)
         cells='[("Lemma32", RHO_ZERO), ("LemmaA1", None), ("CorA2", None)]'),
     "operators_roots": _GRIDS.format(
         cells='[("Bracket", None), ("Prop33", None), ("CorLtilde", None)]'),
+    "b_roots": """
+from hlvir.exactnum import RhoSpec
+from hlvir.structure import partitions
+from hlvir.tring import TPoly, mono_from_exponents
+from hlvir.vertex import apply_B, clear_caches
+monos = [mono_from_exponents((v, lam.count(v)) for v in set(lam))
+         for size in range(9) for lam in partitions(size)]
+rhos = [RhoSpec.root(3), RhoSpec.root(5), RhoSpec.root(7), RhoSpec.rational(2)]
+t0 = clock()
+cases = 0
+for rho in rhos:
+    clear_caches()
+    one = rho.field.one
+    for m in range(-3, 5):
+        for mono in monos:
+            apply_B(m, TPoly(rho.field, {mono: one}), rho)
+            cases += 1
+failed = 0
+""",
     "t1_2_xi5": _T1_2.format(n=5),
     "t1_2_xi7": _T1_2.format(n=7),
     "cold_import": """
